@@ -7,11 +7,11 @@ package repro.benchlib
   */
 object Bench {
 
-  /** Times a thunk; returns (result, elapsedMillis). */
-  def time[A](f: => A): (A, Long) = {
+  /** Times a thunk; returns (result, elapsed milliseconds, fractional). */
+  def time[A](f: => A): (A, Double) = {
     val t0 = System.nanoTime()
     val r = f
-    (r, (System.nanoTime() - t0) / 1000000L)
+    (r, (System.nanoTime() - t0) / 1e6)
   }
 
   /** Renders and prints a markdown table; returns the rendered string. */

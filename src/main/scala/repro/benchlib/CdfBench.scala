@@ -25,7 +25,7 @@ import repro.pathbase.PathEngines
 object CdfBench {
 
   final case class Row(m: Int, sL: Int, nT: Int, nL: Int, edges: Long,
-                       system: String, ms: Long, rows: Long)
+                       system: String, ms: Double, rows: Long)
 
   final case class Config(nT: Int, nL: Int)
 

@@ -50,7 +50,7 @@ object SyntheticCtpWorkloads {
 object Fig10Baselines {
 
   final case class Row(family: String, params: String, m: Int, edges: Int,
-                       algo: String, ms: Long, provenances: Long,
+                       algo: String, ms: Double, provenances: Long,
                        results: Int, timedOut: Boolean)
 
   def run(timeoutMs: Long = 5000L): Seq[Row] =
@@ -78,7 +78,7 @@ object Fig10Baselines {
 object Fig11Variants {
 
   final case class Row(family: String, params: String, m: Int, edges: Int,
-                       algo: String, ms: Long, provenances: Long,
+                       algo: String, ms: Double, provenances: Long,
                        results: Int, timedOut: Boolean)
 
   def run(timeoutMs: Long = 30000L): Seq[Row] =

@@ -69,7 +69,7 @@ object Fig12Qgstp {
         },
       )
       for ((name, f) <- algos) {
-        var totalMs = 0L; var found = 0; var timeouts = 0
+        var totalMs = 0.0; var found = 0; var timeouts = 0
         queries.foreach { q =>
           val ((ok, to), ms) = Bench.time(f(q))
           totalMs += ms
@@ -77,7 +77,7 @@ object Fig12Qgstp {
           if (to) timeouts += 1
         }
         rows += Row(m, queries.size, name,
-          if (queries.isEmpty) 0.0 else totalMs.toDouble / queries.size, found, timeouts)
+          if (queries.isEmpty) 0.0 else totalMs / queries.size, found, timeouts)
       }
     }
     rows.toSeq

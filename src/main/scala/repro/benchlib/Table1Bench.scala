@@ -15,7 +15,7 @@ import repro.pathbase.PathEngines
   */
 object Table1Bench {
 
-  final case class Row(query: String, system: String, ms: Long, rows: Long,
+  final case class Row(query: String, system: String, ms: Double, rows: Long,
                        note: String = "")
 
   private val ctpLabels = Set("p0", "p1", "p2")

@@ -13,8 +13,12 @@ import repro.gx.SeedDistances
   * @param defaultTimeoutMs per-CTP timeout T when the query has none
   * @param autoBalance      enable §4.9's balanced queues when seed-set
   *                         sizes are skewed by ≥ this factor (0 disables)
-  * @param graphxPrune      run the GraphX feasibility pre-pass when a
-  *                         CTP carries a MAX filter
+  * @param graphxPrune      when a CTP carries a MAX filter and only
+  *                         concrete seed sets, restrict its search to the
+  *                         nodes within MAX edges of every seed set, found
+  *                         by a bounded BFS on the in-memory graph
+  *                         ([[SeedDistances.prune]]); the name is kept for
+  *                         existing callers
   */
 final case class EqlOptions(
     algorithm: String = "MoLESP",
@@ -136,7 +140,7 @@ object EqlEvaluator {
       val searchGraph =
         if (opts.graphxPrune && cfg.maxEdges != Int.MaxValue && !specs.contains(AllNodeSeeds)) {
           val seedIdSets = specs.collect { case NodeSeeds(ids) => ids }
-          SeedDistances.pruneForCtp(spark, g, mem, seedIdSets, cfg.maxEdges)
+          SeedDistances.prune(mem, seedIdSets, cfg.maxEdges)
         } else mem
       val ctx = new SearchContext(searchGraph, specs, cfg)
       val out = runAlgorithm(opts.algorithm, ctx)

@@ -57,7 +57,8 @@ final class InMemoryGraph(
   def other(e: Int, n: Int): Int = if (esrc(e) == n) edst(e) else esrc(e)
 
   /** Restricts to the sub-multigraph induced by `keepNode` (dense node
-    * indices). Used by the GraphX pruning pre-pass (§4.9 / MAX filter).
+    * indices). Used by the seed-distance prune for the MAX filter
+    * ([[repro.gx.SeedDistances]]).
     * External ids are preserved so results remain comparable.
     */
   def inducedSubgraph(keepNode: Array[Boolean]): InMemoryGraph = {

@@ -189,7 +189,7 @@ private final class BftEngine(ctx: SearchContext, mergeMode: BftMerge) {
         ni += 1
       }
     }
-    val elapsed = (System.nanoTime() - t0) / 1000000L
+    val elapsed = (System.nanoTime() - t0) / 1e6
     SearchOutcome(
       ctx.applyTopK(results.toVector),
       SearchStats(provenances, kept, grows, merges, pruned, elapsed, timedOut))

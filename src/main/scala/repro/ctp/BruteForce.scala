@@ -18,6 +18,7 @@ object BruteForce {
   def run(g: InMemoryGraph, seeds: Seq[SeedSpec], cfg: CtpEvalConfig = CtpEvalConfig()): SearchOutcome = {
     require(g.numEdges <= MaxEdgesForEnumeration,
       s"BruteForce supports at most $MaxEdgesForEnumeration edges, got ${g.numEdges}")
+    val t0 = System.nanoTime()
     val ctx = new SearchContext(g, seeds, cfg)
     val results = mutable.ArrayBuffer.empty[FoundTree]
     val nE = g.numEdges
@@ -42,7 +43,7 @@ object BruteForce {
       }
     }
     SearchOutcome(ctx.applyTopK(results.toVector),
-      SearchStats(0, 0, 0, 0, 0, 0, timedOut = false))
+      SearchStats(0, 0, 0, 0, 0, (System.nanoTime() - t0) / 1e6, timedOut = false))
   }
 
   /** Validates one candidate edge subset; returns its FoundTree if it is

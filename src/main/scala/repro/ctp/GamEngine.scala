@@ -248,7 +248,7 @@ private final class GamEngine(ctx: SearchContext, variant: GamVariant) {
           checkClock()
       }
     }
-    val elapsed = (System.nanoTime() - t0) / 1000000L
+    val elapsed = (System.nanoTime() - t0) / 1e6
     SearchOutcome(
       ctx.applyTopK(results.toVector),
       SearchStats(provenances, kept, grows, merges, pruned, elapsed, timedOut))

@@ -94,7 +94,7 @@ final case class SearchStats(
     grows: Long,
     merges: Long,
     pruned: Long,
-    elapsedMs: Long,
+    elapsedMs: Double,
     timedOut: Boolean,
 )
 

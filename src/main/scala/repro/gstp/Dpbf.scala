@@ -30,11 +30,16 @@ object Dpbf {
               maxEdges: Int = Int.MaxValue,
               timeoutMs: Long = 600000L): Option[FoundTree] = {
     seeds.foreach(s => require(s.isInstanceOf[NodeSeeds], "DPBF needs concrete seed sets"))
+    val nodeBits = 32 - Integer.numberOfLeadingZeros(g.numNodes)
+    require(seeds.size + nodeBits <= 63,
+      s"DPBF state keys pack a node index and a seed-set mask into one Long: " +
+        s"${seeds.size} seed sets and ${g.numNodes} nodes ($nodeBits bits) exceed 63 bits")
     val ctx = new SearchContext(g, seeds, CtpEvalConfig(uni = directed, maxEdges = maxEdges))
     val m = ctx.m
     val full = ctx.fullMask
     val deadline = System.nanoTime() + timeoutMs * 1000000L
 
+    // Unique while m + node bits <= 63 (checked above).
     def key(v: Int, x: Long): Long = v.toLong << m | x
 
     val best = mutable.HashMap.empty[Long, Int]

@@ -1,128 +1,81 @@
 package repro.gx
 
-import org.apache.spark.graphx.{Edge, EdgeTriplet, Graph, Pregel, VertexId, EdgeDirection}
 import org.apache.spark.sql.SparkSession
 import repro.core.{InMemoryGraph, PropertyGraph}
 
-/** Distributed multi-source BFS over the graph edges (GraphX Pregel).
+/** Seed-distance pruning for CTPs with a MAX filter.
   *
-  * For each vertex, computes the minimum number of edges to reach *some*
-  * seed of each seed set — traversing edges in both directions by
-  * default (requirement R3), or only forward in `directed` mode (UNI).
+  * A node can only appear in a CTP result if it reaches every concrete
+  * seed set, and in a result of ≤ MAX edges only if its distance to every
+  * such set is ≤ MAX (any tree containing node v and a seed s contains
+  * the tree path v⇝s, which is at least dist(v, s) edges long). Edges are
+  * traversed in both directions (requirement R3), so the bound is sound
+  * under UNI too.
   *
-  * This is the distributed-pruning substrate: a node can only appear in
-  * a CTP result if it reaches every concrete seed set, and in a result
-  * of ≤ MAX edges only if every such distance is ≤ MAX (any tree
-  * containing node v and a seed s contains the tree path v⇝s, which is
-  * at least dist(v, s) edges long). [[feasibleNodeFilter]] applies this
-  * bound so the driver-side search (§5.1 loads the graph in memory) only
-  * sees the feasible neighborhood.
+  * The distances come from one bounded BFS per seed set over the
+  * driver's [[InMemoryGraph]], the graph the search itself runs on (§5.1
+  * loads the graph in memory before evaluating CTPs).
   */
 object SeedDistances {
 
   val Unreachable: Int = Int.MaxValue
 
-  /** Per-vertex distances to each of the m seed sets, via GraphX Pregel.
-    *
-    * @param pg       graph as DataFrames
-    * @param seedSets external node ids per seed set
-    * @param maxDepth BFS horizon (iterations); distances beyond stay
-    *                 [[Unreachable]]
-    * @param directed true: follow edge direction only (src→dst); false:
-    *                 both directions
-    * @return map external node id → array of m distances
+  /** Undirected distance from each node (dense index) to the nearest of
+    * `seeds` (external ids; ids absent from `g` are ignored), or
+    * [[Unreachable]] beyond `maxDepth` edges.
     */
-  def compute(spark: SparkSession, pg: PropertyGraph, seedSets: Seq[Seq[Long]],
-              maxDepth: Int, directed: Boolean = false): Map[Long, Array[Int]] = {
-    val m = seedSets.size
-    val seedOf: Map[Long, Array[Int]] = {
-      val init = collection.mutable.HashMap.empty[Long, Array[Int]]
-      seedSets.zipWithIndex.foreach { case (set, i) =>
-        set.foreach { id =>
-          val a = init.getOrElseUpdate(id, Array.fill(m)(Unreachable))
-          a(i) = 0
-        }
-      }
-      init.toMap
+  def distances(g: InMemoryGraph, seeds: Seq[Long], maxDepth: Int): Array[Int] = {
+    val dist = Array.fill(g.numNodes)(Unreachable)
+    val queue = new Array[Int](g.numNodes)
+    var tail = 0
+    seeds.foreach { id =>
+      val n = g.nodeIndex(id)
+      if (n >= 0 && dist(n) != 0) { dist(n) = 0; queue(tail) = n; tail += 1 }
     }
-    val bcSeeds = spark.sparkContext.broadcast(seedOf)
-
-    val edgeRdd = pg.edges.select("src", "dst").rdd
-      .map(r => Edge(r.getLong(0), r.getLong(1), ()))
-    val vertRdd = pg.nodes.select("id").rdd
-      .map(r => (r.getLong(0): VertexId, ()))
-    val graph: Graph[Array[Int], Unit] =
-      Graph(vertRdd, edgeRdd, ())
-        .mapVertices((id, _) => bcSeeds.value.getOrElse(id, Array.fill(m)(Unreachable)))
-
-    def mergeDist(a: Array[Int], b: Array[Int]): Array[Int] = {
-      val out = new Array[Int](a.length)
-      var i = 0
-      while (i < a.length) { out(i) = math.min(a(i), b(i)); i += 1 }
-      out
-    }
-    def bump(a: Array[Int]): Array[Int] = a.map(d => if (d == Unreachable) d else d + 1)
-    def improves(cur: Array[Int], msg: Array[Int]): Boolean = {
-      var i = 0
-      while (i < cur.length) { if (msg(i) < cur(i)) return true; i += 1 }
-      false
-    }
-
-    val result = Pregel(
-      graph,
-      initialMsg = Array.fill(m)(Unreachable),
-      maxIterations = maxDepth,
-      activeDirection = EdgeDirection.Either,
-    )(
-      vprog = (_, attr, msg) => mergeDist(attr, msg),
-      sendMsg = (t: EdgeTriplet[Array[Int], Unit]) => {
-        val fwd = bump(t.srcAttr)
-        val bwd = bump(t.dstAttr)
-        val toDst = if (improves(t.dstAttr, fwd)) Iterator((t.dstId, fwd)) else Iterator.empty
-        val toSrc =
-          if (!directed && improves(t.srcAttr, bwd)) Iterator((t.srcId, bwd))
-          else Iterator.empty
-        toDst ++ toSrc
-      },
-      mergeMsg = mergeDist,
-    )
-    val out = result.vertices.collect().map { case (id, d) => (id, d) }.toMap
-    bcSeeds.destroy()
-    out
-  }
-
-  /** Sound node-level pruning: node v may appear in some result of size
-    * ≤ `maxEdges` only if dist(v, S_i) ≤ maxEdges for every concrete set
-    * i. Returns the keep-mask over the dense node indices of `g`.
-    */
-  def feasibleNodeFilter(g: InMemoryGraph, dists: Map[Long, Array[Int]],
-                         concrete: Array[Boolean], maxEdges: Int): Array[Boolean] = {
-    val keep = new Array[Boolean](g.numNodes)
-    var i = 0
-    while (i < g.numNodes) {
-      val d = dists.get(g.nodeIds(i))
-      keep(i) = d.exists { arr =>
-        var ok = true
+    var head = 0
+    while (head < tail) {
+      val n = queue(head)
+      head += 1
+      val d = dist(n)
+      if (d < maxDepth) {
+        val es = g.adj(n)
         var j = 0
-        while (j < arr.length && ok) {
-          if (concrete(j) && arr(j) > maxEdges) ok = false
+        while (j < es.length) {
+          val o = g.other(es(j), n)
+          if (dist(o) == Unreachable) { dist(o) = d + 1; queue(tail) = o; tail += 1 }
           j += 1
         }
-        ok
       }
-      i += 1
+    }
+    dist
+  }
+
+  /** Keep-mask over the dense node indices of `g`: node v is kept iff
+    * dist(v, S_i) ≤ `maxEdges` for every seed set S_i.
+    */
+  def feasibleNodeFilter(g: InMemoryGraph, seedSets: Seq[Seq[Long]],
+                         maxEdges: Int): Array[Boolean] = {
+    val keep = Array.fill(g.numNodes)(true)
+    seedSets.foreach { set =>
+      val d = distances(g, set, maxEdges)
+      var i = 0
+      while (i < g.numNodes) { if (d(i) == Unreachable) keep(i) = false; i += 1 }
     }
     keep
   }
 
-  /** Convenience: compute distances with Pregel and restrict `g` to the
-    * feasible sub-multigraph for a MAX-`maxEdges` CTP over `seedSets`.
+  /** Restricts `g` to the nodes that may lie on a result of ≤ `maxEdges`
+    * edges connecting `seedSets`; returns `g` itself when every node may.
+    */
+  def prune(g: InMemoryGraph, seedSets: Seq[Seq[Long]], maxEdges: Int): InMemoryGraph = {
+    val keep = feasibleNodeFilter(g, seedSets, maxEdges)
+    if (keep.forall(identity)) g else g.inducedSubgraph(keep)
+  }
+
+  /** [[prune]] under the signature benchmark harnesses call; `spark` and
+    * `pg` are unused.
     */
   def pruneForCtp(spark: SparkSession, pg: PropertyGraph, g: InMemoryGraph,
-                  seedSets: Seq[Seq[Long]], maxEdges: Int,
-                  directed: Boolean = false): InMemoryGraph = {
-    val d = compute(spark, pg, seedSets, maxDepth = maxEdges, directed = directed)
-    val concrete = seedSets.map(_ => true).toArray
-    g.inducedSubgraph(feasibleNodeFilter(g, d, concrete, maxEdges))
-  }
+                  seedSets: Seq[Seq[Long]], maxEdges: Int): InMemoryGraph =
+    prune(g, seedSets, maxEdges)
 }

@@ -123,7 +123,7 @@ class EqlEvaluatorSpec extends SparkSpec {
     assert(rows.head.getString(1) == "8") // Eva-knows-Dan (reverse edge)
   }
 
-  test("graphx pruning path produces identical results (MAX present)") {
+  test("seed-distance pruning produces identical results (MAX present)") {
     val q = EqlParser.parse("""(w) :- ("Bob", "Eva", *w) [MAX 3]""")
     val withPrune = EqlEvaluator.evaluate(spark, g, q, EqlOptions(graphxPrune = true))
       .df.collect().map(_.getString(0)).toSet

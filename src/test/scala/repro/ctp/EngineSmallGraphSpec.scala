@@ -161,5 +161,8 @@ class EngineSmallGraphSpec extends AnyFunSuite {
     assert(out.stats.kept > 0)
     assert(out.stats.grows > 0)
     assert(!out.stats.timedOut)
+    // Fractional milliseconds: a search of a few microseconds does not read 0.
+    assert(out.stats.elapsedMs > 0.0)
+    assert(BruteForce.run(g, seeds(Seq(0L), Seq(2L))).stats.elapsedMs > 0.0)
   }
 }

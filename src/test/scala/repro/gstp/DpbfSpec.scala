@@ -94,4 +94,15 @@ class DpbfSpec extends AnyFunSuite {
     assert(Dpbf.findOne(g, ss, directed = false, maxEdges = 2).isEmpty)
     assert(Dpbf.findOne(g, ss, directed = false, maxEdges = 3).isDefined)
   }
+
+  test("rejects seed-set counts whose state keys would alias") {
+    // 4 nodes take 3 bits: 60 seed sets fit in a 63-bit key, 61 do not.
+    val g = graph((0L, 1L), (1L, 2L), (2L, 3L))
+    val t = Dpbf.findOne(g, Seq.fill(60)(NodeSeeds(Seq(0L))), directed = false)
+    assert(t.exists(_.size == 0))
+    val e = intercept[IllegalArgumentException] {
+      Dpbf.findOne(g, Seq.fill(61)(NodeSeeds(Seq(0L))), directed = false)
+    }
+    assert(e.getMessage.contains("exceed 63 bits"))
+  }
 }
