@@ -18,7 +18,11 @@ object BgpCompiler {
 
   private def likePattern(v: String): String = v.replace('*', '%')
 
-  private def condColumn(c: Condition, labelCol: Column, typeCol: Column): Column = {
+  /** One condition `p(v) op c` as a Catalyst predicate over the columns
+    * holding the variable's label and type. Shared with the evaluator's
+    * seed-set filter.
+    */
+  private[core] def condColumn(c: Condition, labelCol: Column, typeCol: Column): Column = {
     val col = if (c.prop == "label") labelCol else typeCol
     c.op match {
       case Op.Eq   => col === c.value

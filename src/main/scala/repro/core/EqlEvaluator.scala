@@ -37,41 +37,54 @@ final case class CtpTrace(treeVar: String, seedSizes: Seq[Long], stats: SearchSt
 final case class EqlResult(df: DataFrame, traces: Seq[CtpTrace])
 
 /** The paper's §3 evaluation strategy:
-  * (A) evaluate each BGP into a bindings table (Spark SQL);
-  * (B) derive each CTP's seed sets from the bindings (Def. 2.10), then
-  *     run the CTP algorithm with filters pushed down (§4.8);
-  * (C) natural-join everything and project the head.
+  * (A) evaluate each BGP into a bindings table (Spark SQL) and collect
+  *     it to the driver, once per query;
+  * (B) derive each CTP's seed sets from the collected bindings
+  *     (Def. 2.10), then run the CTP algorithm with filters pushed down
+  *     (§4.8) on the graph's in-memory copy, built once per graph (§5.1);
+  * (C) natural-join the collected BGP rows and the CTP results as local
+  *     relations and project the head.
   */
 object EqlEvaluator {
 
-  /** Derives the seed spec of a CTP member (step B.1): the bindings
-    * projection when the variable occurs in a BGP (optionally further
-    * restricted by the member predicate), else the nodes matching the
-    * predicate, else `N`.
+  /** A driver-local relation: one BGP's collected bindings or one CTP's
+    * results.
+    */
+  private final case class Relation(schema: StructType, rows: Array[Row]) {
+    def columns: Set[String] = schema.fieldNames.toSet
+    def toDF(spark: SparkSession): DataFrame =
+      spark.createDataFrame(java.util.Arrays.asList(rows: _*), schema)
+  }
+
+  /** Derives the seed spec of a CTP member (step B.1) from BGP tables:
+    * the bindings projection when the variable occurs in a BGP
+    * (optionally further restricted by the member predicate), else the
+    * nodes matching the predicate, else `N`.
     */
   def seedSpec(g: PropertyGraph, member: Predicate,
-               bgpTables: Seq[(Bgp, DataFrame)]): SeedSpec = {
-    val v = member.variable
-    val fromBgp = bgpTables.find { case (b, _) => b.userVariables.contains(v) }
-    fromBgp match {
-      case Some((_, table)) =>
-        var ids = table.select(col(v) as "id").distinct()
-        if (member.conditions.nonEmpty) {
-          var nd = g.nodes
-          member.conditions.foreach { c =>
-            nd = nd.filter(BgpCompilerAccess.condColumn(c, nd("label"), nd("ntype")))
-          }
-          ids = ids.join(nd.select("id"), "id")
-        }
-        NodeSeeds(ids.collect().map(_.getLong(0)).toSeq)
-      case None if member.isUnconstrained => AllNodeSeeds
-      case None =>
-        var nd = g.nodes
-        member.conditions.foreach { c =>
-          nd = nd.filter(BgpCompilerAccess.condColumn(c, nd("label"), nd("ntype")))
-        }
-        NodeSeeds(nd.select("id").collect().map(_.getLong(0)).toSeq)
-    }
+               bgpTables: Seq[(Bgp, DataFrame)]): SeedSpec =
+    seedsOf(g, member, bgpTables.collectFirst {
+      case (b, table) if b.userVariables.contains(member.variable) =>
+        table.select(col(member.variable)).distinct().collect().map(_.getLong(0))
+    })
+
+  /** The seed spec of a member whose BGP-bound values (if any) are
+    * `bound`. A member with conditions runs one filter over `g.nodes`
+    * and intersects the matching ids on the driver. Ids are distinct and
+    * sorted, so the order does not depend on Spark's partitioning.
+    */
+  private def seedsOf(g: PropertyGraph, member: Predicate,
+                      bound: Option[Array[Long]]): SeedSpec = {
+    val ids =
+      if (member.isUnconstrained) bound
+      else {
+        val matching = g.nodes
+          .filter(member.conditions.map(c => BgpCompiler.condColumn(c, col("label"), col("ntype")))
+            .reduce(_ && _))
+          .select("id").collect().map(_.getLong(0))
+        Some(bound.fold(matching) { b => val m = matching.toSet; b.filter(m) })
+      }
+    ids.fold[SeedSpec](AllNodeSeeds)(a => NodeSeeds(a.distinct.sorted.toSeq))
   }
 
   /** Builds the engine config from a CTP's parsed filters. */
@@ -94,12 +107,10 @@ object EqlEvaluator {
       case other                      => GamEngine.run(ctx, GamVariant.byName(other))
     }
 
-  /** Converts CTP results into a Spark table: one column per concrete
-    * member variable (node id), plus the tree (sorted edge-id string)
-    * and its score.
+  /** CTP results as a relation: one column per concrete member variable
+    * (node id), plus the tree (sorted edge-id string) and its score.
     */
-  private def ctpTable(spark: SparkSession, ctp: Ctp, specs: Seq[SeedSpec],
-                       out: SearchOutcome): DataFrame = {
+  private def ctpRelation(ctp: Ctp, specs: Seq[SeedSpec], out: SearchOutcome): Relation = {
     val memberCols = ctp.members.zip(specs).zipWithIndex.collect {
       case ((mem, spec), i) if spec != AllNodeSeeds && !mem.fresh => (mem.variable, i)
     }
@@ -107,27 +118,59 @@ object EqlEvaluator {
       memberCols.map { case (v, _) => StructField(v, LongType) } ++
         Seq(StructField(ctp.treeVar, StringType),
             StructField(s"${ctp.treeVar}_score", DoubleType)))
-    val rows = out.results.map { t =>
+    Relation(schema, out.results.iterator.map { t =>
       Row.fromSeq(memberCols.map { case (_, i) => t.seedIds(i) } ++
         Seq(t.edgeIds.mkString(","), t.score))
-    }
-    spark.createDataFrame(spark.sparkContext.parallelize(rows, math.max(1, rows.size / 5000 + 1)), schema)
+    }.toArray)
   }
 
-  /** Evaluates an EQL query end to end. */
+  /** Step (C): the natural join of driver-local relations. It starts from
+    * the smallest relation, then always joins the smallest one that
+    * shares a variable with those already joined, and cross-joins only
+    * when no such relation is left (Def. 2.10's cross product of
+    * unconnected components).
+    */
+  private def naturalJoin(spark: SparkSession, relations: Seq[Relation]): DataFrame = {
+    val bySize = relations.sortBy(_.rows.length)
+    var acc = bySize.head.toDF(spark)
+    var joinedCols = bySize.head.columns
+    var rest = bySize.tail
+    while (rest.nonEmpty) {
+      val i = math.max(0, rest.indexWhere(r => (r.columns & joinedCols).nonEmpty))
+      val next = rest(i)
+      val common = next.schema.fieldNames.filter(joinedCols).toSeq
+      acc = if (common.isEmpty) acc.crossJoin(next.toDF(spark)) else acc.join(next.toDF(spark), common)
+      joinedCols ++= next.columns
+      rest = rest.patch(i, Nil, 1)
+    }
+    acc
+  }
+
+  /** Evaluates an EQL query end to end.
+    *
+    * LIMIT and TOP-k apply to each CTP's own results, before step (C):
+    * a CTP keeps its first (or k best) trees whether or not they join
+    * with the rest of the body, so a query can come out empty although
+    * other trees of the same CTP would have joined.
+    */
   def evaluate(spark: SparkSession, g: PropertyGraph, query: EqlQuery,
                opts: EqlOptions = EqlOptions()): EqlResult = {
-    // (A) BGP tables, materialized.
-    val bgpTables = query.bgps.map(b => (b, BgpCompiler.compile(g, b).cache()))
-    bgpTables.foreach(_._2.count())
-
-    // The in-memory graph is shared by all CTPs of the query.
-    lazy val mem = InMemoryGraph.fromPropertyGraph(g)
+    // (A) BGP bindings, collected once.
+    val bgpRelations = query.bgps.map { b =>
+      val df = BgpCompiler.compile(g, b)
+      (b, Relation(df.schema, df.collect()))
+    }
 
     // (B) CTP evaluation with filters pushed down.
     val traces = collection.mutable.ArrayBuffer.empty[CtpTrace]
-    val ctpTables: Seq[DataFrame] = query.ctps.map { ctp =>
-      val specs = ctp.members.map(m => seedSpec(g, m, bgpTables))
+    val ctpRelations = query.ctps.map { ctp =>
+      val specs = ctp.members.map { m =>
+        seedsOf(g, m, bgpRelations.collectFirst {
+          case (b, r) if b.userVariables.contains(m.variable) =>
+            val j = r.schema.fieldIndex(m.variable)
+            r.rows.map(_.getLong(j))
+        })
+      }
       val sizes = specs.map {
         case NodeSeeds(ids) => ids.size.toLong
         case AllNodeSeeds   => -1L
@@ -140,38 +183,16 @@ object EqlEvaluator {
       val searchGraph =
         if (opts.graphxPrune && cfg.maxEdges != Int.MaxValue && !specs.contains(AllNodeSeeds)) {
           val seedIdSets = specs.collect { case NodeSeeds(ids) => ids }
-          SeedDistances.prune(mem, seedIdSets, cfg.maxEdges)
-        } else mem
+          SeedDistances.prune(g.inMemory, seedIdSets, cfg.maxEdges)
+        } else g.inMemory
       val ctx = new SearchContext(searchGraph, specs, cfg)
       val out = runAlgorithm(opts.algorithm, ctx)
       traces += CtpTrace(ctp.treeVar, sizes, out.stats, out.results.size, balanced)
-      ctpTable(spark, ctp, specs, out)
+      ctpRelation(ctp, specs, out)
     }
 
-    // (C) natural join of all tables, head projection, set semantics.
-    val all: Seq[DataFrame] = bgpTables.map(_._2) ++ ctpTables
-    val joined = all.reduceLeft { (a, b) =>
-      val common = a.columns.toSet.intersect(b.columns.toSet).toSeq
-      if (common.isEmpty) a.crossJoin(b) else a.join(b, common)
-    }
-    val head = query.head.map(col)
-    EqlResult(joined.select(head: _*).distinct(), traces.toSeq)
-  }
-}
-
-/** Exposes the condition compiler to the evaluator without widening
-  * [[BgpCompiler]]'s public surface.
-  */
-private[core] object BgpCompilerAccess {
-  def condColumn(c: Condition, label: org.apache.spark.sql.Column,
-                 ntype: org.apache.spark.sql.Column): org.apache.spark.sql.Column = {
-    import org.apache.spark.sql.Column
-    val target: Column = if (c.prop == "label") label else ntype
-    c.op match {
-      case Op.Eq   => target === c.value
-      case Op.Lt   => target < c.value
-      case Op.Le   => target <= c.value
-      case Op.Like => target.like(c.value.replace('*', '%'))
-    }
+    // (C) natural join of all relations, head projection, set semantics.
+    val joined = naturalJoin(spark, bgpRelations.map(_._2) ++ ctpRelations)
+    EqlResult(joined.select(query.head.map(col): _*).distinct(), traces.toSeq)
   }
 }

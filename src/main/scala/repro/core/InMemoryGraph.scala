@@ -99,6 +99,7 @@ object InMemoryGraph {
   /** Collects a [[PropertyGraph]]'s edges (and node set) to the driver
     * and builds the compact adjacency. Node rows are taken from the
     * edges' endpoints plus the nodes DataFrame (isolated nodes kept).
+    * [[PropertyGraph.inMemory]] keeps the result for later queries.
     */
   def fromPropertyGraph(g: PropertyGraph): InMemoryGraph = {
     val nodeRows = g.nodes.select("id").collect().map(_.getLong(0))

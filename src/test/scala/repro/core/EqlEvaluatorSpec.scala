@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.ctp.{BruteForce, CtpEvalConfig, NodeSeeds}
 import repro.gen.GraphGen
@@ -146,5 +147,89 @@ class EqlEvaluatorSpec extends SparkSpec {
     val bft = EqlEvaluator.evaluate(spark, g, q, EqlOptions(algorithm = "BFT"))
       .df.collect().map(_.getString(0)).toSet
     assert(bft == molesp)
+  }
+
+  test("repeated queries leave no persisted RDDs behind") {
+    val queries = Seq(
+      """(x, y) :- (x, "founded", f), (y, "advises", p)""",
+      """(o) :- (a, "worksFor", o), (b, "worksFor", o)""",
+      """(x, w) :- (type(x)="entrepreneur", "citizenOf", "USA"), (x, "Eva", *w) [MAX 3]""",
+      """(w) :- ("Carl", "Eva", *w)""",
+    ).map(EqlParser.parse)
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.size
+    (0 until 20).foreach(i => EqlEvaluator.evaluate(spark, g, queries(i % queries.size)).df.collect())
+    assert(sc.getPersistentRDDs.size <= before)
+  }
+
+  /** A J1-shaped graph: typed sources of "p0"/"p1" edges (the BGPs) and
+    * "q" edges that connect x- to y-candidates and y- to z-candidates.
+    */
+  private object J1Graph {
+    val nodes: Seq[GNode] =
+      Seq(GNode(1, "a1", "A"), GNode(2, "a2", "A"), GNode(3, "a3", "A"),
+        GNode(4, "b1", "B"), GNode(5, "b2", "B"), GNode(6, "c1", "C"), GNode(7, "c2", "C")) ++
+        (11L to 16L).map(i => GNode(i, s"h$i", ""))
+    val edges: Seq[GEdge] = Seq(
+      GEdge(0, 1, "p0", 11), GEdge(1, 2, "p0", 12), GEdge(2, 3, "p0", 13),
+      GEdge(3, 4, "p0", 14), GEdge(4, 5, "p0", 11), GEdge(5, 6, "p1", 15), GEdge(6, 7, "p1", 12),
+      GEdge(7, 1, "q", 16), GEdge(8, 16, "q", 4), GEdge(9, 2, "q", 5), GEdge(10, 4, "q", 6),
+      GEdge(11, 5, "q", 15), GEdge(12, 7, "q", 16))
+    /** (source, target) of the edges with `label` whose source has `ntype`. */
+    def bgp(ntype: String, label: String): Set[(Long, Long)] = edges.collect {
+      case e if e.label == label && nodes.exists(n => n.id == e.src && n.ntype == ntype) => (e.src, e.dst)
+    }.toSet
+  }
+
+  private def planOf(df: DataFrame): String = df.queryExecution.executedPlan.toString
+
+  test("step (C) joins along shared variables: J1 shape matches a plain join") {
+    val pg = PropertyGraph.fromSeqs(spark, J1Graph.nodes, J1Graph.edges)
+    val q = EqlParser.parse(
+      """(x, y, z, w1, w2) :- (type(x)="A", "p0", xn), (type(y)="B", "p0", yn),
+        |  (type(z)="C", "p1", zn), (x, y, *w1) [MAX 3], (y, z, *w2) [MAX 3]""".stripMargin)
+    val res = EqlEvaluator.evaluate(spark, pg, q)
+    val got = res.df.collect().map(_.toSeq).toSet
+    val plan = planOf(res.df)
+    assert(!plan.contains("CartesianProduct"), plan)
+    assert(!plan.contains("BroadcastNestedLoopJoin"), plan)
+
+    val (bx, by, bz) = (J1Graph.bgp("A", "p0"), J1Graph.bgp("B", "p0"), J1Graph.bgp("C", "p1"))
+    val mem = InMemoryGraph.fromSeqs(J1Graph.nodes.map(_.id), J1Graph.edges)
+    def ctp(s1: Set[(Long, Long)], s2: Set[(Long, Long)]): Set[(Long, Long, String)] =
+      BruteForce.run(mem, Seq(NodeSeeds(s1.map(_._1).toSeq), NodeSeeds(s2.map(_._1).toSeq)),
+        CtpEvalConfig(maxEdges = 3)).results.map(t => (t.seedIds(0), t.seedIds(1), t.edgeIds.mkString(","))).toSet
+    val (c1, c2) = (ctp(bx, by), ctp(by, bz))
+    val expected = for {
+      (x, _) <- bx; (y, _) <- by; (z, _) <- bz
+      (x1, y1, w1) <- c1 if x1 == x && y1 == y
+      (y2, z2, w2) <- c2 if y2 == y && z2 == z
+    } yield Seq[Any](x, y, z, w1, w2)
+    assert(got == expected)
+    assert(got.size >= 2)
+  }
+
+  test("step (C) still cross-joins unconnected BGPs when nothing connects them") {
+    val pg = PropertyGraph.fromSeqs(spark, J1Graph.nodes, J1Graph.edges)
+    val q = EqlParser.parse("""(x, z) :- (type(x)="A", "p0", xn), (type(z)="C", "p1", zn)""")
+    val res = EqlEvaluator.evaluate(spark, pg, q)
+    val got = res.df.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    assert(got == (for ((x, _) <- J1Graph.bgp("A", "p0"); (z, _) <- J1Graph.bgp("C", "p1")) yield (x, z)))
+    assert(got.size == 6)
+    assert(planOf(res.df).contains("CartesianProduct"))
+  }
+
+  test("LIMIT and TOP-k apply per CTP, before step (C)") {
+    // CTP 1's smallest tree binds y to b1 (edge 0); only b2 reaches c within MAX 1.
+    val pg = PropertyGraph.fromSeqs(spark,
+      Seq(GNode(1, "a", "X"), GNode(2, "b1", "Y"), GNode(3, "m", ""), GNode(4, "b2", "Y"),
+        GNode(5, "c", "Z")),
+      Seq(GEdge(0, 1, "r", 2), GEdge(1, 1, "r", 3), GEdge(2, 3, "r", 4), GEdge(3, 4, "r", 5)))
+    def rows(ctp1Filter: String) = EqlEvaluator.evaluate(spark, pg, EqlParser.parse(
+      s"""(y, w1, w2) :- (type(x)="X", type(y)="Y", *w1)$ctp1Filter,
+         |  (type(y)="Y", type(z)="Z", *w2) [MAX 1]""".stripMargin)).df.collect().map(_.toSeq).toSet
+    assert(rows("") == Set(Seq[Any](4L, "1,2", "3")))
+    assert(rows(" [LIMIT 1]").isEmpty)
+    assert(rows(" [SCORE size TOP 1]").isEmpty)
   }
 }
