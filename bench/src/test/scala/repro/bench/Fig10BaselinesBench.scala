@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.benchlib.Fig10Baselines
+import repro.benchlib.{Fig10Baselines, SyntheticCtpWorkloads}
 
 /** Fig. 10 reproduction: complete baseline algorithms on Line/Comb/Star.
   * Paper's claims checked as assertions:
@@ -13,7 +13,7 @@ class Fig10BaselinesBench extends AnyFunSuite {
 
   test("Fig 10: baselines on Line/Comb/Star") {
     val rows = Fig10Baselines.run(timeoutMs = 5000L)
-    Fig10Baselines.render(rows)
+    SyntheticCtpWorkloads.render(Fig10Baselines.title, rows)
 
     val gam = rows.filter(_.algo == "GAM")
     assert(gam.forall(r => !r.timedOut && r.results == 1),

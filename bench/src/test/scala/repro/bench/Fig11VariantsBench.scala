@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.benchlib.Fig11Variants
+import repro.benchlib.{Fig11Variants, SyntheticCtpWorkloads}
 
 /** Fig. 11 reproduction: GAM vs ESP/MoESP/LESP/MoLESP. Claims checked:
   *  (i)   edge-set pruning cuts the number of provenances (and with it
@@ -15,7 +15,7 @@ class Fig11VariantsBench extends AnyFunSuite {
 
   test("Fig 11: GAM variants on Line/Comb/Star") {
     val rows = Fig11Variants.run(timeoutMs = 60000L)
-    Fig11Variants.render(rows)
+    SyntheticCtpWorkloads.render(Fig11Variants.title, rows)
 
     def of(algo: String) = rows.filter(_.algo == algo)
     val byKey = rows.groupBy(r => (r.family, r.params))

@@ -18,13 +18,13 @@ private object JobSession {
 /** `spark-submit --class repro.jobs.Fig10Job` — baseline CTP algorithms. */
 object Fig10Job {
   def main(args: Array[String]): Unit =
-    Fig10Baselines.render(Fig10Baselines.run())
+    SyntheticCtpWorkloads.render(Fig10Baselines.title, Fig10Baselines.run())
 }
 
 /** `spark-submit --class repro.jobs.Fig11Job` — GAM pruning variants. */
 object Fig11Job {
   def main(args: Array[String]): Unit =
-    Fig11Variants.render(Fig11Variants.run())
+    SyntheticCtpWorkloads.render(Fig11Variants.title, Fig11Variants.run())
 }
 
 /** `spark-submit --class repro.jobs.Fig12Job` — MoLESP vs the GSTP baseline. */

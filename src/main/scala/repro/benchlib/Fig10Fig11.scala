@@ -31,6 +31,24 @@ object SyntheticCtpWorkloads {
     Workload("Star", "m=10,sL=2", GraphGen.star(10, 2)),
   )
 
+  /** One search of a Fig. 10 or Fig. 11 grid. */
+  final case class Row(family: String, params: String, m: Int, edges: Int,
+                       algo: String, ms: Double, provenances: Long,
+                       results: Int, timedOut: Boolean)
+
+  object Row {
+    def apply(w: Workload, algo: String, out: SearchOutcome): Row =
+      Row(w.family, w.params, w.m, w.edges, algo, out.stats.elapsedMs,
+        out.stats.provenances, out.results.size, out.stats.timedOut)
+  }
+
+  /** Renders and prints the rows as a markdown table. */
+  def render(title: String, rows: Seq[Row]): String =
+    Bench.table(title,
+      Seq("family", "params", "m", "edges", "algo", "ms", "provenances", "results", "timedOut"),
+      rows.map(r => Seq(r.family, r.params, r.m, r.edges, r.algo, r.ms,
+        r.provenances, r.results, r.timedOut)))
+
   /** The larger grid for the GAM-variant comparison (Fig. 11). */
   def fig11Grid: Seq[Workload] = Seq(
     Workload("Line", "m=3,nL=4", GraphGen.line(3, 4)),
@@ -48,10 +66,9 @@ object SyntheticCtpWorkloads {
 
 /** Fig. 10: complete baseline algorithms (BFT, BFT-M, BFT-AM, GAM). */
 object Fig10Baselines {
+  import SyntheticCtpWorkloads.Row
 
-  final case class Row(family: String, params: String, m: Int, edges: Int,
-                       algo: String, ms: Double, provenances: Long,
-                       results: Int, timedOut: Boolean)
+  val title = "Fig. 10 — baseline CTP algorithms (Line/Comb/Star)"
 
   def run(timeoutMs: Long = 5000L): Seq[Row] =
     for {
@@ -59,42 +76,23 @@ object Fig10Baselines {
       algo <- Seq("BFT", "BFT-M", "BFT-AM", "GAM")
     } yield {
       val cfg = CtpEvalConfig(timeoutMs = timeoutMs)
-      val out = algo match {
+      Row(w, algo, algo match {
         case "GAM" => GamEngine.run(w.mem, w.gen.seedSpecs, cfg, GamVariant.GAM)
         case b     => BftEngine.run(w.mem, w.gen.seedSpecs, cfg, BftMerge.byName(b))
-      }
-      Row(w.family, w.params, w.m, w.edges, algo, out.stats.elapsedMs,
-        out.stats.provenances, out.results.size, out.stats.timedOut)
+      })
     }
-
-  def render(rows: Seq[Row]): String =
-    Bench.table("Fig. 10 — baseline CTP algorithms (Line/Comb/Star)",
-      Seq("family", "params", "m", "edges", "algo", "ms", "provenances", "results", "timedOut"),
-      rows.map(r => Seq(r.family, r.params, r.m, r.edges, r.algo, r.ms,
-        r.provenances, r.results, r.timedOut)))
 }
 
 /** Fig. 11: GAM pruning variants, runtime and provenance counts. */
 object Fig11Variants {
+  import SyntheticCtpWorkloads.Row
 
-  final case class Row(family: String, params: String, m: Int, edges: Int,
-                       algo: String, ms: Double, provenances: Long,
-                       results: Int, timedOut: Boolean)
+  val title = "Fig. 11 — GAM variants (runtime and provenances)"
 
   def run(timeoutMs: Long = 30000L): Seq[Row] =
     for {
       w <- SyntheticCtpWorkloads.fig11Grid
       v <- GamVariant.all
-    } yield {
-      val out = GamEngine.run(w.mem, w.gen.seedSpecs,
-        CtpEvalConfig(timeoutMs = timeoutMs), v)
-      Row(w.family, w.params, w.m, w.edges, v.name, out.stats.elapsedMs,
-        out.stats.provenances, out.results.size, out.stats.timedOut)
-    }
-
-  def render(rows: Seq[Row]): String =
-    Bench.table("Fig. 11 — GAM variants (runtime and provenances)",
-      Seq("family", "params", "m", "edges", "algo", "ms", "provenances", "results", "timedOut"),
-      rows.map(r => Seq(r.family, r.params, r.m, r.edges, r.algo, r.ms,
-        r.provenances, r.results, r.timedOut)))
+    } yield Row(w, v.name,
+      GamEngine.run(w.mem, w.gen.seedSpecs, CtpEvalConfig(timeoutMs = timeoutMs), v))
 }

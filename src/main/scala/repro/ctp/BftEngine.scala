@@ -50,42 +50,23 @@ private final class BftEngine(ctx: SearchContext, mergeMode: BftMerge) {
   // Merge partner index: node -> trees containing that node.
   private val byNode = mutable.HashMap.empty[Int, mutable.ArrayBuffer[STree]]
 
-  private val results = mutable.ArrayBuffer.empty[FoundTree]
-  private val resultKeys = mutable.HashSet.empty[String]
-
-  private var provenances = 0L
-  private var kept = 0L
-  private var grows = 0L
-  private var merges = 0L
-  private var pruned = 0L
-  private var opCount = 0L
-  private var timedOut = false
-  private var deadlineNanos = 0L
-
-  private def done: Boolean = results.size >= cfg.limit || timedOut
-
-  private def checkClock(): Unit = {
-    opCount += 1
-    if ((opCount & 0x3ff) == 0L && System.nanoTime() > deadlineNanos)
-      timedOut = true
-  }
+  private val budget = new SearchBudget(cfg)
+  import budget.{checkClock, done}
 
   /** Admits a freshly built tree: dedups on its edge set, reports (after
     * minimization) when full-sat, else stores, indexes and enqueues it.
     * Returns the tree when admitted and mergeable.
     */
   private def admit(t: STree): Option[STree] = {
-    provenances += 1
+    budget.provenances += 1
     checkClock()
     // INIT trees all share the empty edge set; they are deduped by node
     // at the call site, not via the history.
-    if (!t.edges.isEmpty && !hist.add(t.edges)) { pruned += 1; return None }
-    kept += 1
+    if (!t.edges.isEmpty && !hist.add(t.edges)) { budget.pruned += 1; return None }
+    budget.kept += 1
     if (ctx.isResult(t)) {
       // §4.1: minimize, then report; minimization may reveal a duplicate.
-      val minimized = ctx.minimize(t)
-      val f = ctx.toFound(minimized, t.seeds)
-      if (resultKeys.add(f.treeKey)) results += f
+      budget.addResult(ctx.toFound(ctx.minimize(t), t.seeds))
       None
     } else {
       queue.append(t)
@@ -95,33 +76,22 @@ private final class BftEngine(ctx: SearchContext, mergeMode: BftMerge) {
     }
   }
 
-  /** Merge partners of `t`: stored trees sharing exactly one node with
-    * `t`, with disjoint sat (the BFT analogue of Merge1/Merge2).
+  /** Merges `t` with every stored tree it shares exactly one node with,
+    * at that node; returns the admitted merged trees.
     */
   private def mergeWith(t: STree): List[STree] = {
     var produced: List[STree] = Nil
-    val cand = mutable.HashSet.empty[STree]
+    // Insertion-ordered: the merge order, and with it the counters, must
+    // not depend on the trees' identity hashes.
+    val cand = mutable.LinkedHashSet.empty[STree]
     t.nodes.foreach(n => byNode.get(n).foreach(_.foreach(cand += _)))
     val it = cand.iterator
     while (it.hasNext && !done) {
       val p = it.next()
-      // Share exactly one node; sats may overlap only on that node's own
-      // seed sets (see the (Merge2) note in SearchContext.canMerge).
       val shared = if (p ne t) IntSetOps.singleCommon(t.nodes, p.nodes) else -1
-      if ((p ne t) && shared >= 0 &&
-          (p.sat & t.sat & ~ctx.seedMask(shared)) == 0L &&
-          t.size + p.size <= cfg.maxEdges) {
-        merges += 1
-        val seeds = new Array[Int](ctx.m)
-        var i = 0
-        while (i < ctx.m) {
-          seeds(i) = if (t.seeds(i) >= 0) t.seeds(i) else p.seeds(i)
-          i += 1
-        }
-        val merged = new STree(-1, t.edges ++ p.edges,
-          IntSetOps.union(t.nodes, p.nodes), t.sat | p.sat, seeds,
-          isSeedPath = false, isMo = false)
-        admit(merged).foreach(m => produced = m :: produced)
+      if (shared >= 0 && ctx.canMerge(t, p, shared)) {
+        budget.merges += 1
+        admit(ctx.merge(t, p)).foreach(m => produced = m :: produced)
       }
       checkClock()
     }
@@ -129,17 +99,8 @@ private final class BftEngine(ctx: SearchContext, mergeMode: BftMerge) {
   }
 
   def search(): SearchOutcome = {
-    val t0 = System.nanoTime()
-    deadlineNanos =
-      if (cfg.timeoutMs >= Long.MaxValue / 2000000L) Long.MaxValue
-      else t0 + cfg.timeoutMs * 1000000L
-
     ctx.seedSets.flatten.distinct.foreach { s =>
-      if (!done) {
-        val t = ctx.init(s)
-        admit(new STree(-1, t.edges, t.nodes, t.sat, t.seeds,
-          isSeedPath = false, isMo = false))
-      }
+      if (!done) admit(ctx.init(s))
     }
 
     while (queue.nonEmpty && !done) {
@@ -152,24 +113,9 @@ private final class BftEngine(ctx: SearchContext, mergeMode: BftMerge) {
         var ei = 0
         while (ei < es.length && !done) {
           val e = es(ei)
-          val n1 = g.other(e, n)
-          if (n1 != n && ctx.edgeAllowed(e) && t.size + 1 <= cfg.maxEdges &&
-              !t.containsNode(n1) &&              // (Grow1)
-              (ctx.seedMask(n1) & t.sat) == 0L && // (Grow2)
-              !t.edges.contains(e)) {
-            grows += 1
-            val msk = ctx.seedMask(n1)
-            val seeds =
-              if (msk == 0L) t.seeds
-              else {
-                val s = t.seeds.clone()
-                var mm = msk; var k = 0
-                while (mm != 0L) { if ((mm & 1L) != 0L) s(k) = n1; mm >>>= 1; k += 1 }
-                s
-              }
-            val grown = new STree(-1, t.edges + e, IntSetOps.insert(t.nodes, n1),
-              t.sat | msk, seeds, isSeedPath = false, isMo = false)
-            admit(grown) match {
+          if (ctx.canGrow(t, n, e)) {
+            budget.grows += 1
+            admit(ctx.grow(t, n, e)) match {
               case Some(gt) =>
                 mergeMode match {
                   case BftMerge.None => ()
@@ -189,9 +135,6 @@ private final class BftEngine(ctx: SearchContext, mergeMode: BftMerge) {
         ni += 1
       }
     }
-    val elapsed = (System.nanoTime() - t0) / 1e6
-    SearchOutcome(
-      ctx.applyTopK(results.toVector),
-      SearchStats(provenances, kept, grows, merges, pruned, elapsed, timedOut))
+    budget.outcome()
   }
 }

@@ -8,8 +8,9 @@ import repro.core.InMemoryGraph
   *
   * Enumerates *every* subset of edges (up to `cfg.maxEdges`, and only on
   * graphs small enough for 2^|E| enumeration), keeping those that form a
-  * tree with exactly one node from each concrete seed set, all of whose
-  * leaves are seeds (minimality, Observation 1). Honors UNI and LABEL.
+  * tree with exactly one node from each concrete seed set, each of whose
+  * leaves binds a seed set (minimality, Observation 1; an N set binds at
+  * most one leaf outside the concrete sets). Honors UNI and LABEL.
   */
 object BruteForce {
 
@@ -18,9 +19,8 @@ object BruteForce {
   def run(g: InMemoryGraph, seeds: Seq[SeedSpec], cfg: CtpEvalConfig = CtpEvalConfig()): SearchOutcome = {
     require(g.numEdges <= MaxEdgesForEnumeration,
       s"BruteForce supports at most $MaxEdgesForEnumeration edges, got ${g.numEdges}")
-    val t0 = System.nanoTime()
     val ctx = new SearchContext(g, seeds, cfg)
-    val results = mutable.ArrayBuffer.empty[FoundTree]
+    val budget = new SearchBudget(cfg)
     val nE = g.numEdges
     val maxSize = math.min(cfg.maxEdges, nE)
     var subset = 0L
@@ -29,21 +29,16 @@ object BruteForce {
       val size = java.lang.Long.bitCount(subset)
       if (size >= 1 && size <= maxSize) {
         val edges = (0 until nE).filter(e => (subset & (1L << e)) != 0L).toArray
-        check(ctx, edges).foreach(results += _)
+        check(ctx, edges).foreach(budget.addResult)
       }
       subset += 1
     }
     // Single-node results (trees of 0 edges): a node in every concrete set.
     (0 until g.numNodes).foreach { n =>
-      if (ctx.seedMask(n) == ctx.fullMask && ctx.fullMask != 0L) {
-        val seeds0 = Array.fill(ctx.m)(-1)
-        var i = 0
-        while (i < ctx.m) { if (!ctx.isAllNodes(i)) seeds0(i) = n; i += 1 }
-        results += ctx.toFound(EdgeSet.empty, seeds0)
-      }
+      if (ctx.seedMask(n) == ctx.fullMask)
+        budget.addResult(ctx.toFound(EdgeSet.empty, ctx.bindSeeds(Array.fill(ctx.m)(-1), n)))
     }
-    SearchOutcome(ctx.applyTopK(results.toVector),
-      SearchStats(0, 0, 0, 0, 0, (System.nanoTime() - t0) / 1e6, timedOut = false))
+    budget.outcome()
   }
 
   /** Validates one candidate edge subset; returns its FoundTree if it is
@@ -92,13 +87,10 @@ object BruteForce {
     }
     if ((0 until ctx.m).exists(i => !ctx.isAllNodes(i) && seedsBound(i) < 0))
       return None
-    // Minimality: every leaf is a seed — for N seed sets every node is a
-    // seed, so only concrete-set membership disqualifies a leaf.
-    val anyAll = ctx.isAllNodes.exists(identity)
-    val leavesOk = nodes.forall { n =>
-      deg(n) > 1 || ctx.seedMask(n) != 0L || anyAll
-    }
-    if (!leavesOk) return None
+    // Minimality: every leaf is the binding of a seed set. A leaf in no
+    // concrete set can only bind an N set, and each set binds one node.
+    val freeLeaves = nodes.count(n => deg(n) == 1 && ctx.seedMask(n) == 0L)
+    if (freeLeaves > ctx.isAllNodes.count(identity)) return None
     if (ctx.cfg.uni) {
       val t = new STree(-1, EdgeSet.sorted(edges.sorted), nodes.sorted,
         ctx.fullMask, seedsBound, isSeedPath = false, isMo = false)

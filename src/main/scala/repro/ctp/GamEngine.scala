@@ -70,18 +70,10 @@ private final class GamEngine(ctx: SearchContext, variant: GamVariant) {
   // LESP seed signatures ss_n.
   private val ss = new Array[Long](g.numNodes)
 
-  private val results = mutable.ArrayBuffer.empty[FoundTree]
-  private val resultKeys = mutable.HashSet.empty[String]
+  private val budget = new SearchBudget(cfg)
+  import budget.{checkClock, done}
 
-  private var provenances = 0L
-  private var kept = 0L
-  private var grows = 0L
-  private var merges = 0L
-  private var pruned = 0L
   private var seq = 0L
-  private var opCount = 0L
-  private var timedOut = false
-  private var deadlineNanos = 0L
 
   private def tie(): Long = {
     seq += 1
@@ -94,14 +86,6 @@ private final class GamEngine(ctx: SearchContext, variant: GamVariant) {
       z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
       z ^ (z >>> 31)
     }
-  }
-
-  private def done: Boolean = results.size >= cfg.limit || timedOut
-
-  private def checkClock(): Unit = {
-    opCount += 1
-    if ((opCount & 0x3ff) == 0L && System.nanoTime() > deadlineNanos)
-      timedOut = true
   }
 
   private def rootedSeen(t: STree): Boolean =
@@ -125,17 +109,12 @@ private final class GamEngine(ctx: SearchContext, variant: GamVariant) {
     seenRooted.getOrElseUpdate(t.root, mutable.HashSet.empty) += t.edges
   }
 
-  private def addResult(t: STree): Unit = {
-    val f = ctx.toFound(t.edges, t.seeds)
-    if (resultKeys.add(f.treeKey)) results += f
-  }
-
   private def enqueueGrows(t: STree): Unit = {
     val es = g.adj(t.root)
     var i = 0
     while (i < es.length) {
       val e = es(i)
-      if (ctx.canGrow(t, e)) queueFor(t.sat).enqueue(QE(t, e, t.size + 1, tie()))
+      if (ctx.canGrow(t, t.root, e)) queueFor(t.sat).enqueue(QE(t, e, t.size + 1, tie()))
       i += 1
     }
   }
@@ -146,14 +125,14 @@ private final class GamEngine(ctx: SearchContext, variant: GamVariant) {
     * copies) for the caller's merge worklist.
     */
   private def admit(t: STree, satIncreased: Boolean): List[STree] = {
-    provenances += 1
+    budget.provenances += 1
     checkClock()
-    if (!isNew(t)) { pruned += 1; return Nil }
+    if (!isNew(t)) { budget.pruned += 1; return Nil }
     markSeen(t)
-    kept += 1
+    budget.kept += 1
     val result = ctx.isResult(t)
     if (result) {
-      addResult(t)
+      budget.addResult(ctx.toFound(t.edges, t.seeds))
       if (!ctx.continueAfterResult) return Nil
     }
     partners.getOrElseUpdate(t.root, mutable.ArrayBuffer.empty) += t
@@ -167,13 +146,13 @@ private final class GamEngine(ctx: SearchContext, variant: GamVariant) {
         val s = t.seeds(i)
         if (s >= 0 && s != t.root && seen.add(s)) {
           ctx.moReroot(t, s).foreach { mt =>
-            provenances += 1
+            budget.provenances += 1
             if (!rootedSeen(mt)) {
               markSeen(mt)
-              kept += 1
+              budget.kept += 1
               partners.getOrElseUpdate(mt.root, mutable.ArrayBuffer.empty) += mt
               admitted = mt :: admitted
-            } else pruned += 1
+            } else budget.pruned += 1
           }
         }
         i += 1
@@ -195,8 +174,8 @@ private final class GamEngine(ctx: SearchContext, variant: GamVariant) {
         var i = 0
         while (i < lim && !done) {
           val p = ps(i)
-          if ((p ne a) && ctx.canMerge(a, p)) {
-            merges += 1
+          if ((p ne a) && ctx.canMerge(a, p, a.root)) {
+            budget.merges += 1
             admit(ctx.merge(a, p), satIncreased = true).foreach(wl.append)
           }
           checkClock()
@@ -216,10 +195,6 @@ private final class GamEngine(ctx: SearchContext, variant: GamVariant) {
   }
 
   def search(): SearchOutcome = {
-    val t0 = System.nanoTime()
-    deadlineNanos =
-      if (cfg.timeoutMs >= Long.MaxValue / 2000000L) Long.MaxValue
-      else t0 + cfg.timeoutMs * 1000000L
     // INIT trees from every concrete seed set (§4.9 (i): none for N).
     var i = 0
     while (i < ctx.m && !done) {
@@ -241,16 +216,13 @@ private final class GamEngine(ctx: SearchContext, variant: GamVariant) {
       pollNext() match {
         case None => continue = false
         case Some(qe) =>
-          grows += 1
-          val t1 = ctx.grow(qe.t, qe.e)
+          budget.grows += 1
+          val t1 = ctx.grow(qe.t, qe.t.root, qe.e)
           if (t1.isSeedPath) ss(t1.root) |= t1.sat
           admitAndMergeAll(t1, satIncreased = ctx.seedMask(t1.root) != 0L)
           checkClock()
       }
     }
-    val elapsed = (System.nanoTime() - t0) / 1e6
-    SearchOutcome(
-      ctx.applyTopK(results.toVector),
-      SearchStats(provenances, kept, grows, merges, pruned, elapsed, timedOut))
+    budget.outcome()
   }
 }

@@ -104,6 +104,53 @@ final case class SearchOutcome(results: Vector[FoundTree], stats: SearchStats) {
   def resultKeys: Set[String] = results.map(_.treeKey).toSet
 }
 
+/** Per-search state shared by every CTP algorithm, built once per
+  * search: the [[SearchStats]] counters, the TIMEOUT clock and LIMIT of
+  * §4.8, and the result collector, which drops duplicate `treeKey`s and
+  * applies TOP-k when the outcome is assembled.
+  */
+final class SearchBudget(cfg: CtpEvalConfig) {
+  private val t0 = System.nanoTime()
+  // A timeout too large to add to t0 without overflow never expires.
+  private val deadlineNanos =
+    if (cfg.timeoutMs >= Long.MaxValue / 2000000L) Long.MaxValue
+    else t0 + cfg.timeoutMs * 1000000L
+  private var opCount = 0L
+  private var expired = false
+  private val results = mutable.ArrayBuffer.empty[FoundTree]
+  private val resultKeys = mutable.HashSet.empty[String]
+
+  var provenances = 0L
+  var kept = 0L
+  var grows = 0L
+  var merges = 0L
+  var pruned = 0L
+
+  def timedOut: Boolean = expired
+
+  /** True once LIMIT results are in or the clock has expired. */
+  def done: Boolean = results.size >= cfg.limit || expired
+
+  /** Counts one operation; reads the clock every 1,024 operations. */
+  def checkClock(): Unit = {
+    opCount += 1
+    if ((opCount & 0x3ff) == 0L && System.nanoTime() > deadlineNanos)
+      expired = true
+  }
+
+  def addResult(f: FoundTree): Unit =
+    if (resultKeys.add(f.treeKey)) results += f
+
+  /** The results (SCORE/TOP-k applied) and the counters so far. */
+  def outcome(): SearchOutcome = {
+    val found = results.toVector
+    SearchOutcome(
+      cfg.topK.fold(found)(k => found.sortBy(-_.score).take(k)),
+      SearchStats(provenances, kept, grows, merges, pruned,
+        (System.nanoTime() - t0) / 1e6, expired))
+  }
+}
+
 /** Shared machinery for all CTP algorithms: seed-set densification, the
   * Grow/Merge/INIT tree constructors with (Grow1)(Grow2)(Merge1)(Merge2)
   * and the pushed-down filters, result minimization, and UNI checks.
@@ -165,61 +212,62 @@ final class SearchContext(
   def edgeAllowed(e: Int): Boolean =
     labelAllowed == null || labelAllowed(g.elabel(e))
 
-  /** Builds INIT(n) for a seed node (sat = all its seed sets). */
-  def init(n: Int): STree = {
-    val seeds = Array.fill(m)(-1)
+  /** Binds node `n` in `seeds` for every concrete seed set it belongs
+    * to; returns `seeds`.
+    */
+  def bindSeeds(seeds: Array[Int], n: Int): Array[Int] = {
     var msk = seedMask(n)
     var i = 0
     while (msk != 0L) {
       if ((msk & 1L) != 0L) seeds(i) = n
       msk >>>= 1; i += 1
     }
-    new STree(n, EdgeSet.empty, Array(n), seedMask(n), seeds,
-      isSeedPath = true, isMo = false)
+    seeds
   }
 
-  /** Checks (Grow1), (Grow2) and the pushed filters for growing rooted
-    * tree `t` with edge `e` adjacent to `t.root`; used at enqueue time.
+  /** Builds INIT(n) for a seed node (sat = all its seed sets). */
+  def init(n: Int): STree =
+    new STree(n, EdgeSet.empty, Array(n), seedMask(n), bindSeeds(Array.fill(m)(-1), n),
+      isSeedPath = true, isMo = false)
+
+  /** Checks (Grow1), (Grow2) and the pushed filters for growing tree `t`
+    * with edge `e` adjacent to its node `at`: GAM grows at `t.root`, BFT
+    * at any node of `t`. Used at enqueue time.
     */
-  def canGrow(t: STree, e: Int): Boolean = {
-    val n1 = g.other(e, t.root)
-    n1 != t.root &&                                  // no self loops
+  def canGrow(t: STree, at: Int, e: Int): Boolean = {
+    val n1 = g.other(e, at)
+    n1 != at &&                                      // no self loops
     edgeAllowed(e) &&
     t.size + 1 <= cfg.maxEdges &&
-    (!cfg.uni || (g.esrc(e) == n1 && g.edst(e) == t.root)) && // reverse grow
+    (!cfg.uni || (g.esrc(e) == n1 && g.edst(e) == at)) && // reverse grow
     !t.containsNode(n1) &&                           // (Grow1)
     (seedMask(n1) & t.sat) == 0L                     // (Grow2)
   }
 
-  /** Builds Grow(t, e); caller must have validated via [[canGrow]]. */
-  def grow(t: STree, e: Int): STree = {
-    val n1 = g.other(e, t.root)
+  /** Builds Grow(t, e) at node `at`, rooted at the new node; caller must
+    * have validated via [[canGrow]].
+    */
+  def grow(t: STree, at: Int, e: Int): STree = {
+    val n1 = g.other(e, at)
     val msk = seedMask(n1)
-    val seeds =
-      if (msk == 0L) t.seeds
-      else {
-        val s = t.seeds.clone()
-        var mm = msk; var i = 0
-        while (mm != 0L) { if ((mm & 1L) != 0L) s(i) = n1; mm >>>= 1; i += 1 }
-        s
-      }
+    val seeds = if (msk == 0L) t.seeds else bindSeeds(t.seeds.clone(), n1)
     new STree(n1, t.edges + e, IntSetOps.insert(t.nodes, n1),
       t.sat | msk, seeds, isSeedPath = t.isSeedPath && msk == 0L, isMo = false)
   }
 
-  /** Checks (Merge1), (Merge2) + MAX for two rooted trees.
+  /** Checks (Merge1), (Merge2) + MAX for merging two trees at their one
+    * shared node `at`: GAM merges at the common root, BFT at any node.
     *
     * (Merge2) is stated as sat-disjointness in §4.2, but the §4.5
     * walkthrough merges `A-1-2-B` with `B-3-C` at root B — seed B is in
     * both sats. The condition compatible with both the walkthrough and
-    * result minimality is: sats may overlap only on the shared root's
+    * result minimality is: sats may overlap only on the shared node's
     * own seed sets (the merged tree still has one node per set).
     */
-  def canMerge(a: STree, b: STree): Boolean =
-    a.root == b.root &&
-    (a.sat & b.sat & ~seedMask(a.root)) == 0L &&               // (Merge2)
+  def canMerge(a: STree, b: STree, at: Int): Boolean =
+    (a.sat & b.sat & ~seedMask(at)) == 0L &&                   // (Merge2)
     a.size + b.size <= cfg.maxEdges &&
-    IntSetOps.intersectOnlyAt(a.nodes, b.nodes, a.root)        // (Merge1)
+    IntSetOps.intersectOnlyAt(a.nodes, b.nodes, at)            // (Merge1)
 
   /** Builds Merge(a, b); caller must have validated via [[canMerge]]. */
   def merge(a: STree, b: STree): STree = {
@@ -303,11 +351,4 @@ final class SearchContext(
     val ft = FoundTree(dense, ext, seedIds, 0.0)
     ft.copy(score = cfg.score.score(g, ft))
   }
-
-  /** Applies SCORE/TOP-k post-selection to the accumulated results. */
-  def applyTopK(results: Vector[FoundTree]): Vector[FoundTree] =
-    cfg.topK match {
-      case Some(k) => results.sortBy(-_.score).take(k)
-      case None    => results
-    }
 }

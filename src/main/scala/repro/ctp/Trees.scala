@@ -40,17 +40,6 @@ object IntSetOps {
     if (k == out.length) out else java.util.Arrays.copyOf(out, k)
   }
 
-  /** Number of common elements of two sorted arrays. */
-  def intersectionSize(a: Array[Int], b: Array[Int]): Int = {
-    var i = 0; var j = 0; var c = 0
-    while (i < a.length && j < b.length) {
-      if (a(i) < b(j)) i += 1
-      else if (a(i) > b(j)) j += 1
-      else { c += 1; i += 1; j += 1 }
-    }
-    c
-  }
-
   /** The single common element of two sorted arrays, or -1 when they
     * share zero or more than one element.
     */
@@ -110,8 +99,10 @@ object EdgeSet {
 /** A search tree: a set of edges plus (for GAM-family algorithms) a
   * distinguished root, mirroring Def. 4.1's "tree with provenance".
   *
-  * @param root       dense node index of the provenance root; -1 for the
-  *                   unrooted trees of the BFT family
+  * @param root       dense node index of the provenance root, the one
+  *                   node where the GAM family grows and merges the tree;
+  *                   the BFT family grows and merges at any tree node and
+  *                   does not read it
   * @param edges      edge set of the tree
   * @param nodes      sorted dense node indices of the tree
   * @param sat        bitmask over seed-set indices with a seed in the tree

@@ -2,7 +2,7 @@ package repro.gstp
 
 import scala.collection.mutable
 import repro.core.InMemoryGraph
-import repro.ctp.{CtpEvalConfig, EdgeSet, FoundTree, NodeSeeds, SearchContext, SeedSpec}
+import repro.ctp.{CtpEvalConfig, EdgeSet, FoundTree, NodeSeeds, SearchBudget, SearchContext, SeedSpec}
 
 /** DPBF — "Finding top-k min-cost connected trees in databases" (Ding et
   * al., ICDE 2007): best-first dynamic programming over (root, covered
@@ -34,10 +34,11 @@ object Dpbf {
     require(seeds.size + nodeBits <= 63,
       s"DPBF state keys pack a node index and a seed-set mask into one Long: " +
         s"${seeds.size} seed sets and ${g.numNodes} nodes ($nodeBits bits) exceed 63 bits")
-    val ctx = new SearchContext(g, seeds, CtpEvalConfig(uni = directed, maxEdges = maxEdges))
+    val cfg = CtpEvalConfig(uni = directed, maxEdges = maxEdges, timeoutMs = timeoutMs)
+    val ctx = new SearchContext(g, seeds, cfg)
+    val budget = new SearchBudget(cfg)
     val m = ctx.m
     val full = ctx.fullMask
-    val deadline = System.nanoTime() + timeoutMs * 1000000L
 
     // Unique while m + node bits <= 63 (checked above).
     def key(v: Int, x: Long): Long = v.toLong << m | x
@@ -63,10 +64,9 @@ object Dpbf {
     }
 
     var goal: Long = -1L
-    var ops = 0L
     while (goal < 0 && pq.nonEmpty) {
-      ops += 1
-      if ((ops & 0x3ff) == 0L && System.nanoTime() > deadline) return None
+      budget.checkClock()
+      if (budget.timedOut) return None
       val (c, v, x) = pq.dequeue()
       val k = key(v, x)
       if (best(k) == c && settled.add(k)) {
@@ -111,9 +111,7 @@ object Dpbf {
       val seedsBound = Array.fill(m)(-1)
       def rec(k: Long): Unit = {
         // Every tree node is the root of some sub-state; bind its seeds.
-        val v = (k >>> m).toInt
-        var msk = ctx.seedMask(v); var i = 0
-        while (msk != 0L) { if ((msk & 1L) != 0L) seedsBound(i) = v; msk >>>= 1; i += 1 }
+        ctx.bindSeeds(seedsBound, (k >>> m).toInt)
         how(k) match {
           case Init           => ()
           case Grown(e, from) => edges += e; rec(from)

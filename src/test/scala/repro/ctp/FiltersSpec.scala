@@ -93,8 +93,13 @@ class FiltersSpec extends AnyFunSuite {
   test("timeout stops the search and sets the flag") {
     val gen = repro.gen.GraphGen.chain(18) // 2^18 results: cannot finish in 30ms
     val g = gen.toInMemory
-    val out = GamEngine.run(g, gen.seedSpecs, CtpEvalConfig(timeoutMs = 30), GamVariant.GAM)
-    assert(out.stats.timedOut)
+    def timesOut(name: String, run: CtpEvalConfig => SearchOutcome): Unit = {
+      val out = run(CtpEvalConfig(timeoutMs = 30))
+      assert(out.stats.timedOut, s"$name did not time out")
+      assert(out.stats.elapsedMs < 10000, s"$name ran far past its budget")
+    }
+    timesOut("GAM", GamEngine.run(g, gen.seedSpecs, _, GamVariant.GAM))
+    timesOut("BFT-AM", BftEngine.run(g, gen.seedSpecs, _, BftMerge.Aggressive))
   }
 
   test("N seed set (§4.9 i): exploration starts from the concrete set only") {
@@ -105,6 +110,16 @@ class FiltersSpec extends AnyFunSuite {
     assert(expected.size == 3)
     val out = GamEngine.run(g, ss, CtpEvalConfig(), GamVariant.MoLESP)
     assert(out.resultKeys == expected)
+  }
+
+  test("N seed set on a branching graph binds one leaf (Def. 2.8)") {
+    // 1 - 0 - 2: a tree holding both edges has two leaves outside {0},
+    // but N binds only one of them.
+    val g = graph((0L, 1L), (0L, 2L))
+    val ss = Seq(NodeSeeds(Seq(0L)), AllNodeSeeds)
+    val expected = Set("|0,-1", "0|0,-1", "1|0,-1")
+    assert(bruteKeys(g, ss) == expected)
+    assert(GamEngine.run(g, ss, CtpEvalConfig(), GamVariant.MoLESP).resultKeys == expected)
   }
 
   test("N seed set respects MAX and LABEL") {

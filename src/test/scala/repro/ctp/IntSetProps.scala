@@ -23,10 +23,6 @@ object IntSetProps extends Properties("IntSetOps") {
     IntSetOps.contains(a, x) == a.toSet.contains(x)
   }
 
-  property("intersectionSize = |set intersection|") = forAll(sortedArr, sortedArr) { (a, b) =>
-    IntSetOps.intersectionSize(a, b) == a.toSet.intersect(b.toSet).size
-  }
-
   property("singleCommon finds the unique shared element") =
     forAll(sortedArr, sortedArr) { (a, b) =>
       val inter = a.toSet.intersect(b.toSet)

@@ -25,42 +25,45 @@ class SearchContextSpec extends AnyFunSuite {
   test("grow respects Grow1 (no revisits)") {
     val c = ctx()
     val t0 = c.init(g.nodeIndex(0L))
-    assert(c.canGrow(t0, 0))
-    val t1 = c.grow(t0, 0) // now at node 1
-    assert(!c.canGrow(t1, 0)) // back to node 0: already in tree
+    assert(c.canGrow(t0, t0.root, 0))
+    val t1 = c.grow(t0, t0.root, 0) // now at node 1
+    assert(!c.canGrow(t1, t1.root, 0)) // back to node 0: already in tree
+    assert(!c.canGrow(t1, t0.root, 0)) // edge 0 is in the tree
   }
 
   test("grow respects Grow2 (no second node from a satisfied set)") {
     val c = new SearchContext(g, seeds(Seq(0L, 4L), Seq(3L)), CtpEvalConfig())
     val t0 = c.init(g.nodeIndex(0L))
-    val t1 = c.grow(t0, 0)
-    assert(!c.canGrow(t1, 3)) // node 4 is another S1 seed
-    assert(c.canGrow(t1, 1))
+    val t1 = c.grow(t0, t0.root, 0)
+    assert(!c.canGrow(t1, t1.root, 3)) // node 4 is another S1 seed
+    assert(c.canGrow(t1, t1.root, 1))
   }
 
   test("grow tracks isSeedPath and ss-relevant shape") {
     val c = ctx()
     val t0 = c.init(g.nodeIndex(0L))
-    val t1 = c.grow(t0, 0)
+    val t1 = c.grow(t0, t0.root, 0)
     assert(t1.isSeedPath) // 0 -> 1, one seed
-    val t2 = c.grow(t1, 1)
+    val t2 = c.grow(t1, t1.root, 1)
     assert(t2.isSeedPath)
-    val t3 = c.grow(t2, 2) // reaches seed 3
+    val t3 = c.grow(t2, t2.root, 2) // reaches seed 3
     assert(!t3.isSeedPath) // two seeds now
     assert(c.isResult(t3))
   }
 
   test("merge requires shared root only and compatible sats") {
     val c = ctx()
-    val a = c.grow(c.init(g.nodeIndex(0L)), 0) // rooted at 1, nodes {0,1}
+    val a0 = c.init(g.nodeIndex(0L))
+    val a = c.grow(a0, a0.root, 0) // rooted at 1, nodes {0,1}
     val b0 = c.init(g.nodeIndex(3L))
-    val b1 = c.grow(b0, 2) // rooted at 2
-    val b2 = c.grow(b1, 1) // rooted at 1, nodes {3,2,1}
-    assert(c.canMerge(a, b2))
+    val b1 = c.grow(b0, b0.root, 2) // rooted at 2
+    val b2 = c.grow(b1, b1.root, 1) // rooted at 1, nodes {3,2,1}
+    assert(c.canMerge(a, b2, a.root))
     val m = c.merge(a, b2)
     assert(m.size == 3)
     assert(c.isResult(m))
-    assert(!c.canMerge(a, b1)) // different roots
+    assert(!c.canMerge(a, b1, a.root)) // no shared node
+    assert(!c.canMerge(a, b2, a0.root)) // node 0 is not the shared node
   }
 
   test("merge allows sat overlap exactly at a seed root (§4.5 walkthrough)") {
@@ -68,10 +71,14 @@ class SearchContextSpec extends AnyFunSuite {
     // and B-y-C (rooted B) share seed B.
     val pg = graph((0L, 1L), (1L, 2L), (2L, 3L), (3L, 4L))
     val c = new SearchContext(pg, seeds(Seq(0L), Seq(2L), Seq(4L)), CtpEvalConfig())
-    val left = c.grow(c.grow(c.init(pg.nodeIndex(0L)), 0), 1) // rooted 2
-    val right = c.grow(c.grow(c.init(pg.nodeIndex(4L)), 3), 2) // rooted 2
+    val l0 = c.init(pg.nodeIndex(0L))
+    val l1 = c.grow(l0, l0.root, 0)
+    val left = c.grow(l1, l1.root, 1) // rooted 2
+    val r0 = c.init(pg.nodeIndex(4L))
+    val r1 = c.grow(r0, r0.root, 3)
+    val right = c.grow(r1, r1.root, 2) // rooted 2
     assert((left.sat & right.sat) != 0L) // both contain B's set
-    assert(c.canMerge(left, right))
+    assert(c.canMerge(left, right, left.root))
     assert(c.isResult(c.merge(left, right)))
   }
 

@@ -19,8 +19,7 @@ class TreesSpec extends AnyFunSuite {
     assert(IntSetOps.union(Array(1, 2), Array(2, 3)).toSeq == Seq(1, 2, 3))
   }
 
-  test("IntSetOps.intersectionSize and singleCommon") {
-    assert(IntSetOps.intersectionSize(Array(1, 2, 3), Array(2, 3, 4)) == 2)
+  test("IntSetOps.singleCommon") {
     assert(IntSetOps.singleCommon(Array(1, 2), Array(2, 3)) == 2)
     assert(IntSetOps.singleCommon(Array(1, 2, 3), Array(2, 3)) == -1)
     assert(IntSetOps.singleCommon(Array(1), Array(2)) == -1)
@@ -49,7 +48,6 @@ class TreesSpec extends AnyFunSuite {
       val a = Seq.fill(rnd.nextInt(12))(rnd.nextInt(30)).distinct.sorted.toArray
       val b = Seq.fill(rnd.nextInt(12))(rnd.nextInt(30)).distinct.sorted.toArray
       assert(IntSetOps.union(a, b).toSeq == (a.toSet ++ b.toSet).toSeq.sorted)
-      assert(IntSetOps.intersectionSize(a, b) == a.toSet.intersect(b.toSet).size)
       val common = a.toSet.intersect(b.toSet)
       if (common.size == 1)
         assert(IntSetOps.singleCommon(a, b) == common.head)

@@ -88,6 +88,16 @@ class DpbfSpec extends AnyFunSuite {
     }
   }
 
+  test("an unbounded timeout never expires") {
+    // Both seeds at the ends of a 3,000-node line: thousands of queue
+    // pops before the goal, so the clock is read more than once.
+    val n = 3000
+    val g = graph((0 until n - 1).map(i => (i.toLong, i + 1L)): _*)
+    val t = Dpbf.findOne(g, seeds(Seq(0L), Seq(n - 1L)), directed = false,
+      timeoutMs = Long.MaxValue)
+    assert(t.map(_.size).contains(n - 1))
+  }
+
   test("respects maxEdges") {
     val g = graph((0L, 1L), (1L, 2L), (2L, 3L))
     val ss = seeds(Seq(0L), Seq(3L))
