@@ -8,7 +8,7 @@ import repro.gen.GraphGen
 /** Shared session builder for the spark-submit entrypoints. */
 private object JobSession {
   def get(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -4,7 +4,6 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, LongType, StringType, StructField, StructType}
 import repro.ctp._
-import repro.gx.SeedDistances
 
 /** Options for EQL evaluation.
   *
@@ -13,20 +12,18 @@ import repro.gx.SeedDistances
   * @param defaultTimeoutMs per-CTP timeout T when the query has none
   * @param autoBalance      enable §4.9's balanced queues when seed-set
   *                         sizes are skewed by ≥ this factor (0 disables)
-  * @param graphxPrune      when a CTP carries a MAX filter and only
-  *                         concrete seed sets, restrict its search to the
-  *                         nodes within MAX edges of every seed set, found
-  *                         by a bounded BFS on the in-memory graph
-  *                         ([[SeedDistances.prune]]); the name is kept for
-  *                         existing callers
   */
 final case class EqlOptions(
     algorithm: String = "MoLESP",
     defaultTimeoutMs: Long = 600000L,
     autoBalance: Int = 16,
-    graphxPrune: Boolean = true,
-    tieSeed: Long = 0L,
-)
+) {
+  /** Always false: there is no prune before the search. It exists only
+    * because perfbench's traced layer pass reads it, and goes with the
+    * next change to the benchmark.
+    */
+  def graphxPrune: Boolean = false
+}
 
 /** Per-CTP evaluation trace, for benchmarks (§5.5 reports how time is
   * split between the CTP search and the relational part).
@@ -97,7 +94,6 @@ object EqlEvaluator {
       limit = ctp.filters.limit.getOrElse(Int.MaxValue),
       topK = ctp.filters.topK,
       score = ctp.filters.score.map(ScoreFunction.registry).getOrElse(SizeScore),
-      tieSeed = opts.tieSeed,
       balancedQueues = balanced,
     )
 
@@ -180,12 +176,7 @@ object EqlEvaluator {
         (concreteSizes.max >= opts.autoBalance.toLong * math.max(1L, concreteSizes.min) ||
           sizes.contains(-1L))
       val cfg = configFor(ctp, opts, balanced)
-      val searchGraph =
-        if (opts.graphxPrune && cfg.maxEdges != Int.MaxValue && !specs.contains(AllNodeSeeds)) {
-          val seedIdSets = specs.collect { case NodeSeeds(ids) => ids }
-          SeedDistances.prune(g.inMemory, seedIdSets, cfg.maxEdges)
-        } else g.inMemory
-      val ctx = new SearchContext(searchGraph, specs, cfg)
+      val ctx = new SearchContext(g.inMemory, specs, cfg)
       val out = runAlgorithm(opts.algorithm, ctx)
       traces += CtpTrace(ctp.treeVar, sizes, out.stats, out.results.size, balanced)
       ctpRelation(ctp, specs, out)

@@ -55,43 +55,6 @@ final class InMemoryGraph(
 
   /** The endpoint of edge `e` opposite to node `n`. */
   def other(e: Int, n: Int): Int = if (esrc(e) == n) edst(e) else esrc(e)
-
-  /** Restricts to the sub-multigraph induced by `keepNode` (dense node
-    * indices). Used by the seed-distance prune for the MAX filter
-    * ([[repro.gx.SeedDistances]]).
-    * External ids are preserved so results remain comparable.
-    */
-  def inducedSubgraph(keepNode: Array[Boolean]): InMemoryGraph = {
-    val nodeMap = Array.fill(numNodes)(-1)
-    val keptNodes = mutable.ArrayBuffer.empty[Long]
-    var i = 0
-    while (i < numNodes) {
-      if (keepNode(i)) { nodeMap(i) = keptNodes.length; keptNodes += nodeIds(i) }
-      i += 1
-    }
-    val ks = mutable.ArrayBuffer.empty[Int]
-    var e = 0
-    while (e < numEdges) {
-      if (keepNode(esrc(e)) && keepNode(edst(e))) ks += e
-      e += 1
-    }
-    val nSrc = new Array[Int](ks.length)
-    val nDst = new Array[Int](ks.length)
-    val nLab = new Array[Int](ks.length)
-    val nEid = new Array[Long](ks.length)
-    val adjB = Array.fill(keptNodes.length)(mutable.ArrayBuffer.empty[Int])
-    var j = 0
-    while (j < ks.length) {
-      val old = ks(j)
-      nSrc(j) = nodeMap(esrc(old)); nDst(j) = nodeMap(edst(old))
-      nLab(j) = elabel(old); nEid(j) = edgeIds(old)
-      adjB(nSrc(j)) += j
-      if (nDst(j) != nSrc(j)) adjB(nDst(j)) += j
-      j += 1
-    }
-    new InMemoryGraph(keptNodes.toArray, nSrc, nDst, nLab, labels, nEid,
-      adjB.map(_.toArray).toArray)
-  }
 }
 
 object InMemoryGraph {

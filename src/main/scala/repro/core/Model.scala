@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
 /** A graph node, per Def. 2.1 of the paper.
   *
@@ -46,10 +45,6 @@ final case class PropertyGraph(nodes: DataFrame, edges: DataFrame) {
 }
 
 object PropertyGraph {
-  /** Canonical column names, used across the compiler and generators. */
-  val NodeCols: Seq[String] = Seq("id", "label", "ntype")
-  val EdgeCols: Seq[String] = Seq("id", "src", "label", "dst")
-
   /** Builds a PropertyGraph from in-memory node/edge seqs (tests). */
   def fromSeqs(spark: SparkSession, ns: Seq[GNode], es: Seq[GEdge]): PropertyGraph = {
     import spark.implicits._
@@ -58,22 +53,4 @@ object PropertyGraph {
       es.toDF("id", "src", "label", "dst"),
     )
   }
-
-  /** Builds a PropertyGraph from an edge list only; nodes are derived as
-    * the distinct endpoint ids, labeled by their id (useful when a
-    * generator only produces edges).
-    */
-  def fromEdges(spark: SparkSession, es: Seq[GEdge]): PropertyGraph = {
-    import spark.implicits._
-    val edges = es.toDF("id", "src", "label", "dst")
-    PropertyGraph(deriveNodes(edges), edges)
-  }
-
-  /** Derives a nodes DataFrame (id, label=id, ntype="") from edges. */
-  def deriveNodes(edges: DataFrame): DataFrame =
-    edges
-      .select(col("src") as "id")
-      .union(edges.select(col("dst") as "id"))
-      .distinct()
-      .select(col("id"), col("id").cast("string") as "label", lit("") as "ntype")
 }

@@ -42,13 +42,14 @@ object GamEngine {
 
   def run(ctx: SearchContext, variant: GamVariant): SearchOutcome =
     new GamEngine(ctx, variant).search()
+
+  /** A Grow opportunity: tree `t` can grow with edge `e` (queue entry). */
+  private final case class QE(t: STree, e: Int, size: Int, tie: Long)
 }
 
 private final class GamEngine(ctx: SearchContext, variant: GamVariant) {
   import ctx.{g, cfg}
-
-  /** A Grow opportunity: tree `t` can grow with edge `e` (queue entry). */
-  private final case class QE(t: STree, e: Int, size: Int, tie: Long)
+  import GamEngine.QE
 
   private val qeOrdering: Ordering[QE] =
     Ordering.by((q: QE) => (q.size, q.tie))

@@ -125,8 +125,6 @@ final class STree(
 ) {
   def size: Int = edges.size
   def containsNode(n: Int): Boolean = IntSetOps.contains(nodes, n)
-  /** Number of seed sets satisfied. */
-  def satCount: Int = java.lang.Long.bitCount(sat)
   override def toString: String =
     s"STree(root=$root, edges=$edges, sat=${sat.toBinaryString})"
 }

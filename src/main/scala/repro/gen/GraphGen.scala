@@ -41,31 +41,52 @@ object GraphGen {
   private def seedLabel(i: Int): String =
     if (i < 26) ('A' + i).toChar.toString else s"S$i"
 
+  /** Node, edge and seed buffers of the Line, Comb and Star generators.
+    * Node and edge ids count up from 0 in insertion order; the i-th seed
+    * gets `seedLabel(i)`. Edge directions alternate deterministically, so
+    * bidirectional traversal (requirement R3) is genuinely exercised.
+    */
+  private final class Builder {
+    private val nodes = mutable.ArrayBuffer.empty[GNode]
+    private val edges = mutable.ArrayBuffer.empty[GEdge]
+    private val seeds = mutable.ArrayBuffer.empty[Long]
+
+    def node(label: String, ntype: String = ""): Long = {
+      nodes += GNode(nodes.length.toLong, label, ntype); nodes.length - 1L
+    }
+
+    def seed(): Long = { val s = node(seedLabel(seeds.length), "seed"); seeds += s; s }
+
+    def edge(a: Long, b: Long): Unit = {
+      val eid = edges.length.toLong
+      edges += (if (eid % 2 == 0) GEdge(eid, a, "r", b) else GEdge(eid, b, "r", a))
+    }
+
+    /** A path from `from` through new nodes labelled `labels`; returns its
+      * last node (`from` itself when `labels` is empty).
+      */
+    def path(from: Long, labels: Seq[String]): Long =
+      labels.foldLeft(from) { (prev, l) => val x = node(l); edge(prev, x); x }
+
+    /** [[path]], then one more edge to a new seed; returns the seed. */
+    def ray(from: Long, labels: Seq[String]): Long = {
+      val last = path(from, labels)
+      val s = seed(); edge(last, s); s
+    }
+
+    def result: GeneratedGraph =
+      GeneratedGraph(nodes.toVector, edges.toVector, seeds.map(Seq(_)).toSeq)
+  }
+
   /** Line(m, nL): m seeds in a row, nL intermediary nodes between
-    * consecutive seeds (sL = nL+1 edges per gap). Edge directions
-    * alternate so bidirectional traversal is genuinely exercised.
+    * consecutive seeds (sL = nL+1 edges per gap).
     */
   def line(m: Int, nL: Int): GeneratedGraph = {
     require(m >= 2 && nL >= 0)
-    val nodes = mutable.ArrayBuffer.empty[GNode]
-    val edges = mutable.ArrayBuffer.empty[GEdge]
-    val seeds = mutable.ArrayBuffer.empty[Long]
-    var id = 0L; var eid = 0L
-    def addNode(lbl: String, tpe: String): Long = {
-      nodes += GNode(id, lbl, tpe); id += 1; id - 1
-    }
-    def addEdge(a: Long, b: Long): Unit = {
-      // Alternate directions deterministically (requirement R3).
-      if (eid % 2 == 0) edges += GEdge(eid, a, "r", b)
-      else edges += GEdge(eid, b, "r", a)
-      eid += 1
-    }
-    var prev = addNode(seedLabel(0), "seed"); seeds += prev
-    for (i <- 1 until m) {
-      for (j <- 0 until nL) { val x = addNode(s"n${i}_$j", ""); addEdge(prev, x); prev = x }
-      val s = addNode(seedLabel(i), "seed"); addEdge(prev, s); seeds += s; prev = s
-    }
-    GeneratedGraph(nodes.toVector, edges.toVector, seeds.map(Seq(_)).toSeq)
+    val b = new Builder
+    var prev = b.seed()
+    for (i <- 1 until m) prev = b.ray(prev, (0 until nL).map(j => s"n${i}_$j"))
+    b.result
   }
 
   /** Comb(nA, nS, sL, dBA): a main line of nA anchor seeds (dBA
@@ -75,37 +96,16 @@ object GraphGen {
     */
   def comb(nA: Int, nS: Int, sL: Int, dBA: Int): GeneratedGraph = {
     require(nA >= 1 && nS >= 0 && sL >= 1 && dBA >= 0)
-    val nodes = mutable.ArrayBuffer.empty[GNode]
-    val edges = mutable.ArrayBuffer.empty[GEdge]
-    val seeds = mutable.ArrayBuffer.empty[Long]
-    var id = 0L; var eid = 0L; var si = 0
-    def addNode(lbl: String, tpe: String): Long = {
-      nodes += GNode(id, lbl, tpe); id += 1; id - 1
-    }
-    def addSeed(): Long = {
-      val s = addNode(seedLabel(si), "seed"); si += 1; seeds += s; s
-    }
-    def addEdge(a: Long, b: Long): Unit = {
-      if (eid % 2 == 0) edges += GEdge(eid, a, "r", b)
-      else edges += GEdge(eid, b, "r", a)
-      eid += 1
-    }
+    val b = new Builder
     var prevAnchor = -1L
     for (a <- 0 until nA) {
-      val anchor = addSeed()
-      if (prevAnchor >= 0) {
-        var prev = prevAnchor
-        for (j <- 0 until dBA) { val x = addNode(s"m${a}_$j", ""); addEdge(prev, x); prev = x }
-        addEdge(prev, anchor)
-      }
+      val anchor = b.seed()
+      if (prevAnchor >= 0) b.edge(b.path(prevAnchor, (0 until dBA).map(j => s"m${a}_$j")), anchor)
       prevAnchor = anchor
       var prev = anchor
-      for (s <- 0 until nS) {
-        for (j <- 0 until sL - 1) { val x = addNode(s"b${a}_${s}_$j", ""); addEdge(prev, x); prev = x }
-        val seg = addSeed(); addEdge(prev, seg); prev = seg
-      }
+      for (s <- 0 until nS) prev = b.ray(prev, (0 until sL - 1).map(j => s"b${a}_${s}_$j"))
     }
-    GeneratedGraph(nodes.toVector, edges.toVector, seeds.map(Seq(_)).toSeq)
+    b.result
   }
 
   /** Star(m, sL): a central node with m rays of sL edges, each ending in
@@ -113,25 +113,10 @@ object GraphGen {
     */
   def star(m: Int, sL: Int): GeneratedGraph = {
     require(m >= 2 && sL >= 1)
-    val nodes = mutable.ArrayBuffer.empty[GNode]
-    val edges = mutable.ArrayBuffer.empty[GEdge]
-    val seeds = mutable.ArrayBuffer.empty[Long]
-    var id = 0L; var eid = 0L
-    def addNode(lbl: String, tpe: String): Long = {
-      nodes += GNode(id, lbl, tpe); id += 1; id - 1
-    }
-    def addEdge(a: Long, b: Long): Unit = {
-      if (eid % 2 == 0) edges += GEdge(eid, a, "r", b)
-      else edges += GEdge(eid, b, "r", a)
-      eid += 1
-    }
-    val center = addNode("center", "")
-    for (i <- 0 until m) {
-      var prev = center
-      for (j <- 0 until sL - 1) { val x = addNode(s"r${i}_$j", ""); addEdge(prev, x); prev = x }
-      val s = addNode(seedLabel(i), "seed"); addEdge(prev, s); seeds += s
-    }
-    GeneratedGraph(nodes.toVector, edges.toVector, seeds.map(Seq(_)).toSeq)
+    val b = new Builder
+    val center = b.node("center")
+    for (i <- 0 until m) b.ray(center, (0 until sL - 1).map(j => s"r${i}_$j"))
+    b.result
   }
 
   /** The Fig. 2 chain: n+1 nodes, 2 parallel edges between consecutive

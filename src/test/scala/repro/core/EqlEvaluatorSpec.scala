@@ -124,16 +124,6 @@ class EqlEvaluatorSpec extends SparkSpec {
     assert(rows.head.getString(1) == "8") // Eva-knows-Dan (reverse edge)
   }
 
-  test("seed-distance pruning produces identical results (MAX present)") {
-    val q = EqlParser.parse("""(w) :- ("Bob", "Eva", *w) [MAX 3]""")
-    val withPrune = EqlEvaluator.evaluate(spark, g, q, EqlOptions(graphxPrune = true))
-      .df.collect().map(_.getString(0)).toSet
-    val noPrune = EqlEvaluator.evaluate(spark, g, q, EqlOptions(graphxPrune = false))
-      .df.collect().map(_.getString(0)).toSet
-    assert(withPrune == noPrune)
-    assert(withPrune.nonEmpty)
-  }
-
   test("auto-balanced queues trigger on skewed seed sets") {
     val q = EqlParser.parse("""(w) :- (type(p)="entrepreneur", n, *w) [MAX 1]""")
     // p: 4 entrepreneurs; n: N seed set -> balanced queues kick in.

@@ -84,6 +84,17 @@ class EqlParserSpec extends AnyFunSuite {
       EqlParser.parse("""(x) :- (a, "r", b, *w) [FOO]"""))
   }
 
+  test("rejects out-of-range numbers and unknown score names at their offset") {
+    val prefix = """(w) :- ("A", "B", *w) ["""
+    Seq("MAX 4294967299", "TOP 4294967296", "LIMIT 2147483648", "SCORE size TOP 2147483648",
+        "TIMEOUT 99999999999999999999", "SCORE nosuch").foreach { filter =>
+      val e = intercept[EqlParser.ParseException](EqlParser.parse(prefix + filter + "]"))
+      assert(e.pos == prefix.length + filter.lastIndexOf(' ') + 1, filter)
+    }
+    val f = EqlParser.parse(prefix + "LIMIT 2147483647, TIMEOUT 9223372036854775807]").ctps.head.filters
+    assert(f.limit.contains(Int.MaxValue) && f.timeoutMs.contains(Long.MaxValue))
+  }
+
   test("head variables must be bound; tree vars are legal heads") {
     val q = EqlParser.parse("""(w) :- (a, b, *w)""")
     assert(q.head == Seq("w"))

@@ -43,19 +43,6 @@ class InMemoryGraphSpec extends AnyFunSuite {
     assert(g.other(0, n20) == n10)
   }
 
-  test("inducedSubgraph keeps ids and drops cut edges") {
-    val keep = Array.tabulate(g.numNodes)(i => g.nodeIds(i) != 40L)
-    val sub = g.inducedSubgraph(keep)
-    assert(sub.numNodes == 4)
-    assert(sub.numEdges == 3) // edge 3 (30-40) dropped
-    assert(sub.edgeIds.toSet == Set(0L, 1L, 2L))
-    assert(sub.nodeIndex(40L) == -1)
-    assert(sub.nodeIndex(10L) >= 0)
-    // Adjacency still consistent in the subgraph.
-    val n30 = sub.nodeIndex(30L)
-    assert(sub.degree(n30) == 2)
-  }
-
   test("self-loops are indexed once in adjacency") {
     val loop = InMemoryGraph.fromSeqs(Seq(1L), Seq(GEdge(0, 1, "l", 1)))
     assert(loop.degree(loop.nodeIndex(1L)) == 1)

@@ -60,6 +60,28 @@ class RandomGraphSpec extends AnyFunSuite {
     }
   }
 
+  test("m<=3 under MAX 1..4, with and without UNI: GAM and MoLESP match brute force") {
+    val rnd = new Random(7)
+    var binding = 0
+    for (trial <- 1 to 150) {
+      val (g, n) = randomGraph(rnd)
+      val ss = randomSeeds(rnd, n, math.min(2 + rnd.nextInt(2), n))
+      for (uni <- Seq(false, true)) {
+        val unbounded = bruteKeys(g, ss, CtpEvalConfig(uni = uni))
+        for (maxEdges <- 1 to 4) {
+          val cfg = CtpEvalConfig(uni = uni, maxEdges = maxEdges, tieSeed = trial.toLong)
+          val expected = bruteKeys(g, ss, cfg)
+          if (expected != unbounded) binding += 1
+          for (v <- Seq(GamVariant.GAM, GamVariant.MoLESP))
+            assert(GamEngine.run(g, ss, cfg, v).resultKeys == expected,
+              s"trial $trial ${v.name} uni=$uni MAX $maxEdges")
+        }
+      }
+    }
+    info(s"$binding of 1200 instances have MAX binding")
+    assert(binding >= 30, "too few instances where MAX removes a result")
+  }
+
   test("m=3: the BFT family is complete and matches brute force") {
     val rnd = new Random(3)
     for (trial <- 1 to 60) {
