@@ -1,5 +1,6 @@
 package repro.jobs
 
+import java.util.Locale
 import org.apache.spark.sql.SparkSession
 import repro.benchlib._
 import repro.core.{EqlEvaluator, EqlParser}
@@ -62,7 +63,8 @@ object Table1Job {
 
 /** `spark-submit --class repro.jobs.RunEqlJob '<query>'` — evaluates an
   * EQL query over a demo CDF graph (or pass a second arg `kg` for the
-  * knowledge-graph substitute) and prints the result table.
+  * knowledge-graph substitute) and prints the result table, each CTP's
+  * trace and, as one JSON line, the wall milliseconds of each phase.
   */
 object RunEqlJob {
   def main(args: Array[String]): Unit = {
@@ -77,6 +79,8 @@ object RunEqlJob {
       val res = EqlEvaluator.evaluate(spark, pg, EqlParser.parse(queryText))
       res.df.show(50, truncate = false)
       res.traces.foreach(t => println(s"[trace] $t"))
+      println(res.phaseMs.map { case (phase, ms) => "\"%s\": %.3f".formatLocal(Locale.ROOT, phase, ms) }
+        .mkString("{\"phase_ms\": {", ", ", "}}"))
     } finally spark.stop()
   }
 }

@@ -99,10 +99,10 @@ object CdfBench {
         }
       }
       record("UNI-MoLESP(EQL)") {
-        EqlEvaluator.evaluate(spark, pg, queryFor(m, uni = true)).df.count()
+        EqlEvaluator.evaluate(spark, pg, queryFor(m, uni = true)).df.collect().length.toLong
       }
       record("MoLESP(EQL)") {
-        EqlEvaluator.evaluate(spark, pg, queryFor(m, uni = false)).df.count()
+        EqlEvaluator.evaluate(spark, pg, queryFor(m, uni = false)).df.collect().length.toLong
       }
       pg.nodes.unpersist(); pg.edges.unpersist()
     }

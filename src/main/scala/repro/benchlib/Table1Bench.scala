@@ -43,7 +43,7 @@ object Table1Bench {
          |  (x, y, *w1) [UNI, $labelList, MAX 3],
          |  (y, z, *w2) [UNI, $labelList, MAX 3]""".stripMargin)
     record("J1", "EQL-MoLESP") {
-      EqlEvaluator.evaluate(spark, pg, j1, opts).df.count()
+      EqlEvaluator.evaluate(spark, pg, j1, opts).df.collect().length.toLong
     }
     // Path-engine baselines need the same seed tables.
     def seedsOf(tpe: String, lblPrefix: String, edgeLbl: String): DataFrame =
@@ -78,10 +78,10 @@ object Table1Bench {
       s"""(x, y, w) :- (type(x)="t0", "p0", a), (label(y)~"e71*", yl, b),
          |  (x, y, *w) [UNI, $labelList, MAX 3]""".stripMargin)
     record("J2", "EQL-MoLESP (balanced §4.9)") {
-      EqlEvaluator.evaluate(spark, pg, j2, opts).df.count()
+      EqlEvaluator.evaluate(spark, pg, j2, opts).df.collect().length.toLong
     }
     record("J2", "EQL-MoLESP (no balancing)", note = "§4.9 off") {
-      EqlEvaluator.evaluate(spark, pg, j2, opts.copy(autoBalance = 0)).df.count()
+      EqlEvaluator.evaluate(spark, pg, j2, opts.copy(autoBalance = 0)).df.collect().length.toLong
     }
     val s2x = seedsOf("t0", "e", "p0")
     val j2Targets = pg.nodes.filter(col("label").like("e71%")).select(col("id") as "end")
@@ -100,7 +100,7 @@ object Table1Bench {
     val j3 = EqlParser.parse(
       s"""(l) :- (label(s)="e3", n, *l) [UNI, $labelList, MAX 3]""")
     record("J3", "EQL-MoLESP (N set, §4.9)") {
-      EqlEvaluator.evaluate(spark, pg, j3, opts).df.count()
+      EqlEvaluator.evaluate(spark, pg, j3, opts).df.collect().length.toLong
     }
     record("J3", "JediLike(paths to anywhere)") {
       PathEngines.enumeratePaths(spark, pg.edges,

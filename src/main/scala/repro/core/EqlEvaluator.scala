@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.concurrent.{Callable, ExecutionException, ExecutorCompletionService, Executors}
+import scala.collection.immutable.SeqMap
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, LongType, StringType, StructField, StructType}
@@ -31,26 +33,61 @@ final case class EqlOptions(
 final case class CtpTrace(treeVar: String, seedSizes: Seq[Long], stats: SearchStats,
                           numResults: Int, balanced: Boolean)
 
-final case class EqlResult(df: DataFrame, traces: Seq[CtpTrace])
+/** The answer of one EQL query.
+  *
+  * @param df      the result rows, a local relation: `collect` on it
+  *                starts no Spark job
+  * @param traces  one entry per CTP, in body order
+  * @param phaseMs wall milliseconds per phase of [[EqlEvaluator.evaluate]],
+  *                named as perfbench's layers: `bgp` (step A's wave of
+  *                Spark collects), `seeds` (seed sets from the collected
+  *                rows; on a graph's first query also its in-memory
+  *                load), `search` (every CTP's search) and `tail` (CTP
+  *                tables and step C)
+  */
+final case class EqlResult(df: DataFrame, traces: Seq[CtpTrace],
+                           phaseMs: SeqMap[String, Double] = SeqMap.empty)
 
 /** The paper's §3 evaluation strategy:
   * (A) evaluate each BGP into a bindings table (Spark SQL) and collect
-  *     it to the driver, once per query;
+  *     it to the driver, once per query, all BGPs at once;
   * (B) derive each CTP's seed sets from the collected bindings
   *     (Def. 2.10), then run the CTP algorithm with filters pushed down
   *     (§4.8) on the graph's in-memory copy, built once per graph (§5.1);
-  * (C) natural-join the collected BGP rows and the CTP results as local
-  *     relations and project the head.
+  * (C) natural-join the collected BGP rows and the CTP results on the
+  *     driver and project the head.
   */
 object EqlEvaluator {
 
   /** A driver-local relation: one BGP's collected bindings or one CTP's
     * results.
     */
-  private final case class Relation(schema: StructType, rows: Array[Row]) {
+  private[core] final case class Relation(schema: StructType, rows: Array[Row]) {
     def columns: Set[String] = schema.fieldNames.toSet
-    def toDF(spark: SparkSession): DataFrame =
-      spark.createDataFrame(java.util.Arrays.asList(rows: _*), schema)
+
+    /** The natural join with `next`, as a hash join: a table of `next`'s
+      * rows keyed on the shared columns, probed with this relation's
+      * rows. With no shared column it is the cross product.
+      */
+    def join(next: Relation): Relation = {
+      val shared = next.schema.fieldNames.toSeq.filter(columns)
+      val buildKey = shared.map(next.schema.fieldIndex)
+      val probeKey = shared.map(schema.fieldIndex)
+      val added = next.schema.fields.indices.filterNot(buildKey.contains)
+      val table = next.rows.groupBy(r => buildKey.map(r.get))
+      val out = for {
+        r <- rows
+        m <- table.getOrElse(probeKey.map(r.get), Array.empty[Row])
+      } yield Row.fromSeq(r.toSeq ++ added.map(m.get))
+      Relation(StructType(schema.fields ++ added.map(next.schema.fields)), out)
+    }
+
+    /** The distinct rows of the columns `vars`, in that order. */
+    def project(vars: Seq[String]): Relation = {
+      val idx = vars.map(schema.fieldIndex)
+      Relation(StructType(idx.map(schema.fields)),
+        rows.iterator.map(r => Row.fromSeq(idx.map(r.get))).distinct.toArray)
+    }
   }
 
   /** Derives the seed spec of a CTP member (step B.1) from BGP tables:
@@ -60,27 +97,32 @@ object EqlEvaluator {
     */
   def seedSpec(g: PropertyGraph, member: Predicate,
                bgpTables: Seq[(Bgp, DataFrame)]): SeedSpec =
-    seedsOf(g, member, bgpTables.collectFirst {
-      case (b, table) if b.userVariables.contains(member.variable) =>
-        table.select(col(member.variable)).distinct().collect().map(_.getLong(0))
-    })
+    seedsOf(
+      bgpTables.collectFirst {
+        case (b, table) if b.userVariables.contains(member.variable) =>
+          table.select(col(member.variable)).distinct().collect().map(_.getLong(0))
+      },
+      Option.unless(member.isUnconstrained)(nodeIds(matchingNodes(g, member.conditions).collect())))
 
-  /** The seed spec of a member whose BGP-bound values (if any) are
-    * `bound`. A member with conditions runs one filter over `g.nodes`
-    * and intersects the matching ids on the driver. Ids are distinct and
-    * sorted, so the order does not depend on Spark's partitioning.
+  /** The ids of the nodes that match all of (non-empty) `conditions`. */
+  private def matchingNodes(g: PropertyGraph, conditions: Seq[Condition]): DataFrame =
+    g.nodes
+      .filter(conditions.map(c => BgpCompiler.condColumn(c, col("label"), col("ntype"))).reduce(_ && _))
+      .select("id")
+
+  private def nodeIds(rows: Array[Row]): Array[Long] = rows.map(_.getLong(0))
+
+  /** The seed spec of a member from its BGP-bound values (`bound`, if a
+    * BGP binds it) and the nodes matching its conditions (`matching`, if
+    * it has any): their intersection, either one alone, or `N`. Ids are
+    * distinct and sorted, so the order does not depend on Spark's
+    * partitioning.
     */
-  private def seedsOf(g: PropertyGraph, member: Predicate,
-                      bound: Option[Array[Long]]): SeedSpec = {
-    val ids =
-      if (member.isUnconstrained) bound
-      else {
-        val matching = g.nodes
-          .filter(member.conditions.map(c => BgpCompiler.condColumn(c, col("label"), col("ntype")))
-            .reduce(_ && _))
-          .select("id").collect().map(_.getLong(0))
-        Some(bound.fold(matching) { b => val m = matching.toSet; b.filter(m) })
-      }
+  private def seedsOf(bound: Option[Array[Long]], matching: Option[Array[Long]]): SeedSpec = {
+    val ids = (bound, matching) match {
+      case (Some(b), Some(m)) => val s = m.toSet; Some(b.filter(s))
+      case _                  => bound.orElse(matching)
+    }
     ids.fold[SeedSpec](AllNodeSeeds)(a => NodeSeeds(a.distinct.sorted.toSeq))
   }
 
@@ -120,29 +162,65 @@ object EqlEvaluator {
     }.toArray)
   }
 
-  /** Step (C): the natural join of driver-local relations. It starts from
-    * the smallest relation, then always joins the smallest one that
-    * shares a variable with those already joined, and cross-joins only
-    * when no such relation is left (Def. 2.10's cross product of
-    * unconnected components).
+  /** Collects every DataFrame at once, each on its own thread, and
+    * returns the rows in order. The pool's threads are created from the
+    * calling thread, so they inherit its SparkContext local properties
+    * (job group, scheduler pool, job tags): cancelling the caller's job
+    * group cancels these jobs too. A single DataFrame is collected
+    * inline. The first failure is rethrown here.
     */
-  private def naturalJoin(spark: SparkSession, relations: Seq[Relation]): DataFrame = {
+  private def collectAll(dfs: Seq[DataFrame]): Seq[Array[Row]] =
+    if (dfs.size <= 1) dfs.map(_.collect())
+    else {
+      val pool = Executors.newFixedThreadPool(dfs.size)
+      try {
+        val done = new ExecutorCompletionService[(Int, Array[Row])](pool)
+        dfs.zipWithIndex.foreach { case (df, i) =>
+          done.submit(new Callable[(Int, Array[Row])] { def call() = (i, df.collect()) })
+        }
+        val out = new Array[Array[Row]](dfs.size)
+        dfs.indices.foreach { _ =>
+          val (i, rows) = try done.take().get() catch { case e: ExecutionException => throw e.getCause }
+          out(i) = rows
+        }
+        out.toSeq
+      } finally pool.shutdownNow()
+    }
+
+  /** The order of step (C): the smallest relation first, then always the
+    * smallest one that shares a column with those already placed, and
+    * one that shares none only when no such relation is left (Def.
+    * 2.10's cross product of unconnected components).
+    */
+  private[core] def joinOrder(relations: Seq[Relation]): Seq[Relation] = {
     val bySize = relations.sortBy(_.rows.length)
-    var acc = bySize.head.toDF(spark)
-    var joinedCols = bySize.head.columns
-    var rest = bySize.tail
+    val order = Seq.newBuilder[Relation]
+    var placedCols = Set.empty[String]
+    var rest = bySize
     while (rest.nonEmpty) {
-      val i = math.max(0, rest.indexWhere(r => (r.columns & joinedCols).nonEmpty))
-      val next = rest(i)
-      val common = next.schema.fieldNames.filter(joinedCols).toSeq
-      acc = if (common.isEmpty) acc.crossJoin(next.toDF(spark)) else acc.join(next.toDF(spark), common)
-      joinedCols ++= next.columns
+      val i = math.max(0, rest.indexWhere(r => (r.columns & placedCols).nonEmpty))
+      order += rest(i)
+      placedCols ++= rest(i).columns
       rest = rest.patch(i, Nil, 1)
     }
-    acc
+    order.result()
   }
 
+  /** Step (C): the natural join of driver-local relations, in
+    * [[joinOrder]].
+    */
+  private[core] def naturalJoin(relations: Seq[Relation]): Relation =
+    joinOrder(relations).reduceLeft(_ join _)
+
+  private def msSince(t0: Long): Double = (System.nanoTime() - t0) / 1e6
+
   /** Evaluates an EQL query end to end.
+    *
+    * The query's Spark work is one concurrent wave of collects: every
+    * BGP's bindings and, for each CTP member with conditions, the ids of
+    * the matching nodes (besides the graph's in-memory copy, which the
+    * first query on a graph loads). Everything after that runs on the
+    * driver, and the result is a local relation.
     *
     * LIMIT and TOP-k apply to each CTP's own results, before step (C):
     * a CTP keeps its first (or k best) trees whether or not they join
@@ -151,21 +229,31 @@ object EqlEvaluator {
     */
   def evaluate(spark: SparkSession, g: PropertyGraph, query: EqlQuery,
                opts: EqlOptions = EqlOptions()): EqlResult = {
-    // (A) BGP bindings, collected once.
-    val bgpRelations = query.bgps.map { b =>
-      val df = BgpCompiler.compile(g, b)
-      (b, Relation(df.schema, df.collect()))
+    // (A) BGP bindings and the nodes matching each member's conditions.
+    val t0 = System.nanoTime()
+    val conditions = query.ctps.flatMap(_.members).filterNot(_.isUnconstrained)
+      .map(_.conditions).distinct
+    val bgpDfs = query.bgps.map(b => BgpCompiler.compile(g, b))
+    val collected = collectAll(bgpDfs ++ conditions.map(matchingNodes(g, _)))
+    val bgpRelations = query.bgps.zip(bgpDfs.zip(collected)).map { case (b, (df, rows)) =>
+      (b, Relation(df.schema, rows))
     }
+    val matching = conditions.zip(collected.drop(bgpDfs.size).map(nodeIds)).toMap
+    val bgpMs = msSince(t0)
 
     // (B) CTP evaluation with filters pushed down.
+    var seedsMs, searchMs = 0.0
     val traces = collection.mutable.ArrayBuffer.empty[CtpTrace]
-    val ctpRelations = query.ctps.map { ctp =>
+    val ctpRuns = query.ctps.map { ctp =>
+      val t1 = System.nanoTime()
       val specs = ctp.members.map { m =>
-        seedsOf(g, m, bgpRelations.collectFirst {
-          case (b, r) if b.userVariables.contains(m.variable) =>
-            val j = r.schema.fieldIndex(m.variable)
-            r.rows.map(_.getLong(j))
-        })
+        seedsOf(
+          bgpRelations.collectFirst {
+            case (b, r) if b.userVariables.contains(m.variable) =>
+              val j = r.schema.fieldIndex(m.variable)
+              r.rows.map(_.getLong(j))
+          },
+          matching.get(m.conditions))
       }
       val sizes = specs.map {
         case NodeSeeds(ids) => ids.size.toLong
@@ -177,13 +265,20 @@ object EqlEvaluator {
           sizes.contains(-1L))
       val cfg = configFor(ctp, opts, balanced)
       val ctx = new SearchContext(g.inMemory, specs, cfg)
+      val t2 = System.nanoTime()
       val out = runAlgorithm(opts.algorithm, ctx)
+      seedsMs += (t2 - t1) / 1e6
+      searchMs += msSince(t2)
       traces += CtpTrace(ctp.treeVar, sizes, out.stats, out.results.size, balanced)
-      ctpRelation(ctp, specs, out)
+      (ctp, specs, out)
     }
 
     // (C) natural join of all relations, head projection, set semantics.
-    val joined = naturalJoin(spark, bgpRelations.map(_._2) ++ ctpRelations)
-    EqlResult(joined.select(query.head.map(col): _*).distinct(), traces.toSeq)
+    val t3 = System.nanoTime()
+    val ctpRelations = ctpRuns.map { case (ctp, specs, out) => ctpRelation(ctp, specs, out) }
+    val result = naturalJoin(bgpRelations.map(_._2) ++ ctpRelations).project(query.head)
+    val df = spark.createDataFrame(java.util.Arrays.asList(result.rows: _*), result.schema)
+    EqlResult(df, traces.toSeq,
+      SeqMap("bgp" -> bgpMs, "seeds" -> seedsMs, "search" -> searchMs, "tail" -> msSince(t3)))
   }
 }

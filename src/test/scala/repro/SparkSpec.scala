@@ -8,8 +8,8 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled, so the evaluator's step (C)
-  * joins run as shuffle joins in tests.
+  * limit). Broadcast joins are disabled, as in the project's other
+  * sessions.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

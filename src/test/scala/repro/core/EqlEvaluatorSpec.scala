@@ -1,6 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, udf}
+import org.apache.spark.sql.types.{DoubleType, LongType, StringType, StructField, StructType}
+import org.apache.spark.sql.Row
 import repro.SparkSpec
 import repro.ctp.{BruteForce, CtpEvalConfig, NodeSeeds}
 import repro.gen.GraphGen
@@ -13,13 +15,15 @@ class EqlEvaluatorSpec extends SparkSpec {
   private lazy val g = SampleGraph.pg(spark)
   private lazy val mem = SampleGraph.inMemory
 
+  /** The paper's Q1: three BGPs and one CTP. */
+  private val q1 = EqlParser.parse(
+    """(x, y, z, w) :- (type(x)="entrepreneur", "citizenOf", "USA"),
+      |                (type(y)="entrepreneur", "citizenOf", "France"),
+      |                (type(z)="politician", "citizenOf", "France"),
+      |                (x, y, z, *w)""".stripMargin)
+
   test("paper Q1: entrepreneurs/politician connections, joined with BGPs") {
-    val q = EqlParser.parse(
-      """(x, y, z, w) :- (type(x)="entrepreneur", "citizenOf", "USA"),
-        |                (type(y)="entrepreneur", "citizenOf", "France"),
-        |                (type(z)="politician", "citizenOf", "France"),
-        |                (x, y, z, *w)""".stripMargin)
-    val res = EqlEvaluator.evaluate(spark, g, q)
+    val res = EqlEvaluator.evaluate(spark, g, q1)
     val got = res.df.collect().map(r =>
       (r.getLong(0), r.getLong(1), r.getLong(2), r.getString(3))).toSet
     val brute = BruteForce.run(mem,
@@ -30,6 +34,48 @@ class EqlEvaluatorSpec extends SparkSpec {
     assert(got.nonEmpty)
     assert(res.traces.size == 1)
     assert(res.traces.head.seedSizes == Seq(2L, 2L, 1L))
+    assert(res.phaseMs.keys.toSeq == Seq("bgp", "seeds", "search", "tail"))
+    assert(res.phaseMs.values.forall(_ >= 0))
+  }
+
+  test("step (A)'s BGP jobs run in the caller's job group") {
+    assert(q1.bgps.size == 3)
+    val sc = spark.sparkContext
+    val log = new JobLog(sc)
+    sc.setJobGroup("eql-job-group", "EQL query with three BGPs")
+    try {
+      val (rows, jobs) = log.during(EqlEvaluator.evaluate(spark, g, q1).df.collect())
+      assert(rows.nonEmpty)
+      assert(jobs.size >= 3)
+      assert(jobs.forall(_.properties.getProperty("spark.jobGroup.id") == "eql-job-group"))
+    } finally {
+      sc.clearJobGroup()
+      log.close()
+    }
+  }
+
+  test("a BGP that fails at runtime fails evaluate with its exception") {
+    val failing = udf { (t: String) =>
+      if (t == "politician") throw new IllegalStateException("no politicians here") else t
+    }
+    val pg = PropertyGraph(g.nodes.withColumn("ntype", failing(col("ntype"))), g.edges)
+    // The first BGP reads no node table and succeeds; the second fails.
+    val q = EqlParser.parse(
+      """(x, z) :- (x, "founded", f), (type(z)="politician", "citizenOf", c)""")
+    assert(q.bgps.size == 2)
+    val e = intercept[Exception](EqlEvaluator.evaluate(spark, pg, q))
+    val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage)
+    assert(messages.exists(m => m != null && m.contains("no politicians here")), e)
+  }
+
+  test("EqlResult.df is a local relation: collect starts no Spark job") {
+    val log = new JobLog(spark.sparkContext)
+    try {
+      val res = EqlEvaluator.evaluate(spark, g, q1)
+      val (rows, jobs) = log.during(res.df.collect())
+      assert(rows.nonEmpty)
+      assert(jobs.isEmpty, jobs.map(JobLog.rddNames))
+    } finally log.close()
   }
 
   test("constant CTP members: connections between Carl and Eva") {
@@ -171,7 +217,20 @@ class EqlEvaluatorSpec extends SparkSpec {
     }.toSet
   }
 
-  private def planOf(df: DataFrame): String = df.queryExecution.executedPlan.toString
+  /** For each step of step (C) after the first, the columns its relation
+    * shares with the relations joined before it; an empty set is a cross
+    * step.
+    */
+  private def sharedPerStep(relations: Seq[EqlEvaluator.Relation]): Seq[Set[String]] = {
+    val order = EqlEvaluator.joinOrder(relations)
+    order.indices.tail.map(i => order(i).columns & order.take(i).flatMap(_.columns).toSet)
+  }
+
+  private def bgpRelations(pg: PropertyGraph, q: EqlQuery): Seq[EqlEvaluator.Relation] =
+    q.bgps.map { b =>
+      val df = BgpCompiler.compile(pg, b)
+      EqlEvaluator.Relation(df.schema, df.collect())
+    }
 
   test("step (C) joins along shared variables: J1 shape matches a plain join") {
     val pg = PropertyGraph.fromSeqs(spark, J1Graph.nodes, J1Graph.edges)
@@ -180,9 +239,6 @@ class EqlEvaluatorSpec extends SparkSpec {
         |  (type(z)="C", "p1", zn), (x, y, *w1) [MAX 3], (y, z, *w2) [MAX 3]""".stripMargin)
     val res = EqlEvaluator.evaluate(spark, pg, q)
     val got = res.df.collect().map(_.toSeq).toSet
-    val plan = planOf(res.df)
-    assert(!plan.contains("CartesianProduct"), plan)
-    assert(!plan.contains("BroadcastNestedLoopJoin"), plan)
 
     val (bx, by, bz) = (J1Graph.bgp("A", "p0"), J1Graph.bgp("B", "p0"), J1Graph.bgp("C", "p1"))
     val mem = InMemoryGraph.fromSeqs(J1Graph.nodes.map(_.id), J1Graph.edges)
@@ -197,6 +253,19 @@ class EqlEvaluatorSpec extends SparkSpec {
     } yield Seq[Any](x, y, z, w1, w2)
     assert(got == expected)
     assert(got.size >= 2)
+
+    // Step (C) over the same relations: the three BGP tables share no
+    // column, yet every step joins along a shared one.
+    def ctpRelation(v1: String, v2: String, w: String, trees: Set[(Long, Long, String)]) =
+      EqlEvaluator.Relation(
+        StructType(Seq(StructField(v1, LongType), StructField(v2, LongType),
+          StructField(w, StringType), StructField(s"${w}_score", DoubleType))),
+        trees.toArray.map { case (a, b, t) => Row(a, b, t, t.split(',').length.toDouble) })
+    assert(res.traces.map(_.numResults) == Seq(c1.size, c2.size))
+    val steps = sharedPerStep(bgpRelations(pg, q) ++
+      Seq(ctpRelation("x", "y", "w1", c1), ctpRelation("y", "z", "w2", c2)))
+    assert(steps.size == 4)
+    assert(steps.forall(_.nonEmpty), steps)
   }
 
   test("step (C) still cross-joins unconnected BGPs when nothing connects them") {
@@ -206,7 +275,7 @@ class EqlEvaluatorSpec extends SparkSpec {
     val got = res.df.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(got == (for ((x, _) <- J1Graph.bgp("A", "p0"); (z, _) <- J1Graph.bgp("C", "p1")) yield (x, z)))
     assert(got.size == 6)
-    assert(planOf(res.df).contains("CartesianProduct"))
+    assert(sharedPerStep(bgpRelations(pg, q)) == Seq(Set.empty[String]))
   }
 
   test("LIMIT and TOP-k apply per CTP, before step (C)") {

@@ -1,7 +1,6 @@
 package repro.core
 
-import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.SparkListenerJobStart
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
 import org.scalatest.funsuite.AnyFunSuite
@@ -61,26 +60,6 @@ class InMemoryGraphSpec extends AnyFunSuite {
     assert(g2.nodeIds.sorted.toSeq == g.nodeIds.sorted.toSeq)
   }
 
-  /** Counts Spark jobs that read an RDD named `table`. Each `mark` runs a
-    * marker job and returns the count up to it: the listener sees jobs in
-    * the order they start, so the count is complete once the marker shows.
-    */
-  private final class JobCounter(table: String) extends SparkListener {
-    private var jobs = 0
-    private val marks = new LinkedBlockingQueue[(String, Int)]
-    override def onJobStart(e: SparkListenerJobStart): Unit = {
-      val names = e.stageInfos.flatMap(_.rddInfos).map(_.name)
-      if (names.contains(table)) jobs += 1
-      names.find(_.startsWith("marker ")).foreach(m => marks.put(m -> jobs))
-    }
-    def mark(sc: org.apache.spark.SparkContext, name: String): Int = {
-      sc.parallelize(Seq(1), 1).setName(s"marker $name").count()
-      val seen = marks.poll(60, TimeUnit.SECONDS)
-      assert(seen != null && seen._1 == s"marker $name")
-      seen._2
-    }
-  }
-
   test("PropertyGraph.inMemory is built once: a second query reads no edge table") {
     val spark = repro.SparkSpec.shared
     val sc = spark.sparkContext
@@ -90,18 +69,17 @@ class InMemoryGraphSpec extends AnyFunSuite {
       StructField("src", LongType), StructField("label", StringType), StructField("dst", LongType))))
     val pg = PropertyGraph(SampleGraph.pg(spark).nodes, edges)
     val q = EqlParser.parse("""(w) :- ("Carl", "Eva", *w)""")
-    val counter = new JobCounter("edge table")
-    sc.addSparkListener(counter)
+    val log = new JobLog(sc)
     try {
-      val c0 = counter.mark(sc, "start")
-      val first = EqlEvaluator.evaluate(spark, pg, q).df.collect().toSet
-      val c1 = counter.mark(sc, "first")
-      val second = EqlEvaluator.evaluate(spark, pg, q).df.collect().toSet
-      val c2 = counter.mark(sc, "second")
-      assert(c1 > c0) // the first query builds the graph from the edge table
-      assert(c2 == c1)
+      def run() = log.during(EqlEvaluator.evaluate(spark, pg, q).df.collect().toSet)
+      def edgeReads(jobs: Seq[SparkListenerJobStart]) =
+        jobs.count(JobLog.rddNames(_).contains("edge table"))
+      val (first, firstJobs) = run()
+      val (second, secondJobs) = run()
+      assert(edgeReads(firstJobs) > 0) // the first query builds the graph from the edge table
+      assert(edgeReads(secondJobs) == 0)
       assert(second == first && first.nonEmpty)
       assert(pg.inMemory eq pg.inMemory)
-    } finally sc.removeSparkListener(counter)
+    } finally log.close()
   }
 }
