@@ -1,14 +1,16 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.{LongType, StructField, StructType}
+import repro.core.EqlEvaluator.Relation
 
-/** Compiles BGPs to Spark DataFrame (Catalyst) plans over a
-  * [[PropertyGraph]] — the conjunctive-engine substrate of the paper's
-  * step (A) (§3; they delegate to PostgreSQL, we delegate to Spark SQL).
+/** Step (A)'s conjunctive engine (§3): matches BGPs on the graph's
+  * in-memory copy ([[PropertyGraph.inMemory]]), the same copy the CTP
+  * search runs on (§5.1), so a query on a loaded graph starts no Spark
+  * job.
   *
   * Also emits the equivalent DuckDB SQL for the same BGP, so every
-  * compiled plan can be cross-checked by [[repro.Oracle]].
+  * match can be cross-checked by [[repro.Oracle]].
   *
   * Output: one row per embedding, one column per *user* variable; node
   * variables bind to node ids, edge variables to edge ids. Rows are
@@ -18,18 +20,19 @@ object BgpCompiler {
 
   private def likePattern(v: String): String = v.replace('*', '%')
 
-  /** One condition `p(v) op c` as a Catalyst predicate over the columns
-    * holding the variable's label and type. Shared with the evaluator's
-    * seed-set filter.
+  /** Whether a node or edge with this label and type satisfies `c`.
+    * Strings compare in code-point order. A null label or type (a node
+    * with no row in the nodes table) satisfies no condition; an edge's
+    * type is "".
     */
-  private[core] def condColumn(c: Condition, labelCol: Column, typeCol: Column): Column = {
-    val col = if (c.prop == "label") labelCol else typeCol
-    c.op match {
-      case Op.Eq   => col === c.value
-      case Op.Lt   => col < c.value
-      case Op.Le   => col <= c.value
-      case Op.Like => col.like(likePattern(c.value))
-    }
+  private[core] def holds(c: Condition, label: String, ntype: String): Boolean = {
+    val v = if (c.prop == "label") label else ntype
+    v != null && (c.op match {
+      case Op.Eq   => v == c.value
+      case Op.Lt   => compareCodePoints(v, c.value) < 0
+      case Op.Le   => compareCodePoints(v, c.value) <= 0
+      case Op.Like => like(v, likePattern(c.value))
+    })
   }
 
   private def condSql(c: Condition, labelExpr: String, typeExpr: String): String = {
@@ -38,74 +41,74 @@ object BgpCompiler {
     s"$e ${c.op.sql} '${v.replace("'", "''")}'"
   }
 
-  /** Compiles one edge pattern: a DataFrame with columns `_s$i`, `_e$i`,
-    * `_d$i` (node/edge ids) filtered by the three predicates.
+  private def compareCodePoints(a: String, b: String): Int =
+    java.util.Arrays.compare(a.codePoints().toArray, b.codePoints().toArray)
+
+  /** SQL LIKE without an escape character: `%` matches any run of
+    * characters, `_` exactly one, every other character itself.
     */
-  private def compilePattern(g: PropertyGraph, p: EdgePattern, i: Int): DataFrame = {
-    var df = g.edges.select(
-      col("id") as s"_e$i", col("src") as s"_s$i",
-      col("label") as s"_l$i", col("dst") as s"_d$i")
-    // Edge predicate: label conditions on the edge's own label; edges
-    // carry no type, so the type property is the empty string.
-    p.edge.conditions.foreach { c =>
-      df = df.filter(condColumn(c, col(s"_l$i"), lit("")))
+  private def like(s: String, pattern: String): Boolean = {
+    val str = s.codePoints().toArray
+    val pat = pattern.codePoints().toArray
+    // Greedy scan; on a mismatch, let the last `%` absorb one more character.
+    var i, j = 0
+    var star, mark = -1
+    while (i < str.length) {
+      if (j < pat.length && (pat(j) == '_' || pat(j) == str(i)) && pat(j) != '%') { i += 1; j += 1 }
+      else if (j < pat.length && pat(j) == '%') { star = j; mark = i; j += 1 }
+      else if (star >= 0) { mark += 1; i = mark; j = star + 1 }
+      else return false
     }
-    def joinNode(pred: Predicate, endCol: String, alias: String): Unit =
-      if (pred.conditions.nonEmpty) {
-        var nd = g.nodes.select(
-          col("id") as s"_${alias}id", col("label") as s"_${alias}l",
-          col("ntype") as s"_${alias}t")
-        pred.conditions.foreach { c =>
-          nd = nd.filter(condColumn(c, col(s"_${alias}l"), col(s"_${alias}t")))
-        }
-        df = df.join(nd, col(endCol) === col(s"_${alias}id"))
-          .drop(s"_${alias}id", s"_${alias}l", s"_${alias}t")
-      }
-    joinNode(p.src, s"_s$i", s"s$i")
-    joinNode(p.dst, s"_d$i", s"d$i")
-    if (p.src.variable == p.dst.variable)
-      df = df.filter(col(s"_s$i") === col(s"_d$i"))
-    df
+    while (j < pat.length && pat(j) == '%') j += 1
+    j == pat.length
   }
 
-  /** Compiles a whole BGP: joins its patterns on shared variables and
-    * projects the distinct bindings of the user variables.
+  private def holdsAll(conditions: Seq[Condition], label: String, ntype: String): Boolean =
+    conditions.forall(holds(_, label, ntype))
+
+  /** The ids of the nodes that satisfy every one of `conditions`, in node
+    * index order.
     */
-  def compile(g: PropertyGraph, bgp: Bgp): DataFrame = {
+  private[core] def nodesWhere(g: InMemoryGraph, conditions: Seq[Condition]): Array[Long] =
+    g.nodeIds.indices.iterator
+      .filter(n => holdsAll(conditions, g.nlabel(n), g.ntype(n)))
+      .map(g.nodeIds).toArray
+
+  /** One edge pattern as a relation over its distinct variables (source,
+    * edge, target), from one scan of the edges. A variable repeated in
+    * the pattern, as in `(x, e, x)`, binds equal ids.
+    */
+  private def patternRelation(g: InMemoryGraph, p: EdgePattern): Relation = {
+    val edgeOk = g.labels.map(holdsAll(p.edge.conditions, _, ""))
+    def nodeOk(pred: Predicate, n: Int) = holdsAll(pred.conditions, g.nlabel(n), g.ntype(n))
+    val vars = p.variables
+    val first = vars.map(vars.indexOf)
+    val kept = first.distinct
+    val rows = g.esrc.indices.iterator
+      .filter(e => edgeOk(g.elabel(e)) && nodeOk(p.src, g.esrc(e)) && nodeOk(p.dst, g.edst(e)))
+      .map(e => Seq(g.nodeIds(g.esrc(e)), g.edgeIds(e), g.nodeIds(g.edst(e))))
+      .filter(ids => ids.indices.forall(i => ids(i) == ids(first(i))))
+      .map(ids => Row.fromSeq(kept.map(ids)))
+    Relation(StructType(kept.map(i => StructField(vars(i), LongType))), rows.toArray)
+  }
+
+  /** A whole BGP: its patterns' natural join (step (C)'s join), projected
+    * to the distinct bindings of the user variables.
+    */
+  private[core] def bindings(g: InMemoryGraph, bgp: Bgp): Relation = {
     require(bgp.patterns.nonEmpty)
-    // Join patterns in BFS order over shared user variables, renaming
-    // per-pattern columns to variable names as we go.
-    var varCol = Map.empty[String, String] // variable -> column name so far
-    var acc: DataFrame = null
-    val remaining = collection.mutable.ArrayBuffer(bgp.patterns.zipWithIndex: _*)
-    while (remaining.nonEmpty) {
-      val idx = if (acc == null) 0 else {
-        val j = remaining.indexWhere { case (p, _) =>
-          p.variables.exists(varCol.contains)
-        }
-        if (j >= 0) j else 0 // disconnected within a component is impossible, but stay safe
-      }
-      val (p, i) = remaining.remove(idx)
-      var df = compilePattern(g, p, i)
-      val bindings = Seq(
-        p.src.variable -> s"_s$i", p.edge.variable -> s"_e$i", p.dst.variable -> s"_d$i")
-      // Join on variables already bound.
-      val joinConds = bindings.collect {
-        case (v, c) if varCol.contains(v) => col(varCol(v)) === col(c)
-      }
-      acc =
-        if (acc == null) df
-        else if (joinConds.nonEmpty) acc.join(df, joinConds.reduce(_ && _))
-        else acc.crossJoin(df)
-      bindings.foreach { case (v, c) => if (!varCol.contains(v)) varCol += v -> c }
-    }
-    val kept = bgp.userVariables
-    acc.select(kept.map(v => col(varCol(v)) as v): _*).distinct()
+    EqlEvaluator.naturalJoin(bgp.patterns.map(patternRelation(g, _))).project(bgp.userVariables)
+  }
+
+  /** [[bindings]] on the graph's in-memory copy, as a local DataFrame. */
+  def compile(g: PropertyGraph, bgp: Bgp): DataFrame = {
+    val r = bindings(g.inMemory, bgp)
+    g.nodes.sparkSession.createDataFrame(java.util.Arrays.asList(r.rows: _*), r.schema)
   }
 
   /** The DuckDB SQL equivalent of [[compile]], over tables
     * `nodes(id,label,ntype)` / `edges(id,src,label,dst)` — used by tests
-    * to validate the Catalyst plan via the Oracle. All ids compare as
+    * to validate the matcher via the Oracle. All ids compare as
     * strings (the Oracle loads everything as VARCHAR), which is safe
     * because it applies the same equalities on both sides.
     */

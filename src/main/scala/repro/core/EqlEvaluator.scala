@@ -1,9 +1,7 @@
 package repro.core
 
-import java.util.concurrent.{Callable, ExecutionException, ExecutorCompletionService, Executors}
 import scala.collection.immutable.SeqMap
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, LongType, StringType, StructField, StructType}
 import repro.ctp._
 
@@ -39,28 +37,28 @@ final case class CtpTrace(treeVar: String, seedSizes: Seq[Long], stats: SearchSt
   *                starts no Spark job
   * @param traces  one entry per CTP, in body order
   * @param phaseMs wall milliseconds per phase of [[EqlEvaluator.evaluate]],
-  *                named as perfbench's layers: `bgp` (step A's wave of
-  *                Spark collects), `seeds` (seed sets from the collected
-  *                rows; on a graph's first query also its in-memory
-  *                load), `search` (every CTP's search) and `tail` (CTP
-  *                tables and step C)
+  *                named as perfbench's layers: `bgp` (step A's matching
+  *                on the in-memory graph; on a graph's first query also
+  *                its load from Spark), `seeds` (seed sets from the BGP
+  *                rows and the member conditions), `search` (every CTP's
+  *                search) and `tail` (CTP tables and step C)
   */
 final case class EqlResult(df: DataFrame, traces: Seq[CtpTrace],
                            phaseMs: SeqMap[String, Double] = SeqMap.empty)
 
-/** The paper's §3 evaluation strategy:
-  * (A) evaluate each BGP into a bindings table (Spark SQL) and collect
-  *     it to the driver, once per query, all BGPs at once;
-  * (B) derive each CTP's seed sets from the collected bindings
-  *     (Def. 2.10), then run the CTP algorithm with filters pushed down
-  *     (§4.8) on the graph's in-memory copy, built once per graph (§5.1);
-  * (C) natural-join the collected BGP rows and the CTP results on the
-  *     driver and project the head.
+/** The paper's §3 evaluation strategy, all of it on the driver over the
+  * graph's in-memory copy, built once per graph (§5.1):
+  * (A) match each BGP into a bindings relation ([[BgpCompiler]]);
+  * (B) derive each CTP's seed sets from the BGP bindings and the member
+  *     conditions (Def. 2.10), then run the CTP algorithm with filters
+  *     pushed down (§4.8);
+  * (C) natural-join the BGP relations and the CTP results and project
+  *     the head.
   */
 object EqlEvaluator {
 
-  /** A driver-local relation: one BGP's collected bindings or one CTP's
-    * results.
+  /** A driver-local relation: one edge pattern's or one BGP's bindings,
+    * or one CTP's results.
     */
   private[core] final case class Relation(schema: StructType, rows: Array[Row]) {
     def columns: Set[String] = schema.fieldNames.toSet
@@ -97,28 +95,22 @@ object EqlEvaluator {
     */
   def seedSpec(g: PropertyGraph, member: Predicate,
                bgpTables: Seq[(Bgp, DataFrame)]): SeedSpec =
-    seedsOf(
-      bgpTables.collectFirst {
-        case (b, table) if b.userVariables.contains(member.variable) =>
-          table.select(col(member.variable)).distinct().collect().map(_.getLong(0))
-      },
-      Option.unless(member.isUnconstrained)(nodeIds(matchingNodes(g, member.conditions).collect())))
+    memberSeeds(g.inMemory, member,
+      bgpTables.map { case (b, table) => (b, Relation(table.schema, table.collect())) })
 
-  /** The ids of the nodes that match all of (non-empty) `conditions`. */
-  private def matchingNodes(g: PropertyGraph, conditions: Seq[Condition]): DataFrame =
-    g.nodes
-      .filter(conditions.map(c => BgpCompiler.condColumn(c, col("label"), col("ntype"))).reduce(_ && _))
-      .select("id")
-
-  private def nodeIds(rows: Array[Row]): Array[Long] = rows.map(_.getLong(0))
-
-  /** The seed spec of a member from its BGP-bound values (`bound`, if a
-    * BGP binds it) and the nodes matching its conditions (`matching`, if
-    * it has any): their intersection, either one alone, or `N`. Ids are
-    * distinct and sorted, so the order does not depend on Spark's
-    * partitioning.
+  /** [[seedSpec]] over BGP relations: the intersection of the values a
+    * BGP binds to the member's variable (if one does) and the nodes
+    * matching its conditions (if it has any), either one alone, or `N`.
+    * Ids are distinct and sorted.
     */
-  private def seedsOf(bound: Option[Array[Long]], matching: Option[Array[Long]]): SeedSpec = {
+  private def memberSeeds(mem: InMemoryGraph, member: Predicate,
+                          bgpRelations: Seq[(Bgp, Relation)]): SeedSpec = {
+    val bound = bgpRelations.collectFirst {
+      case (b, r) if b.userVariables.contains(member.variable) =>
+        val j = r.schema.fieldIndex(member.variable)
+        r.rows.map(_.getLong(j))
+    }
+    val matching = Option.unless(member.isUnconstrained)(BgpCompiler.nodesWhere(mem, member.conditions))
     val ids = (bound, matching) match {
       case (Some(b), Some(m)) => val s = m.toSet; Some(b.filter(s))
       case _                  => bound.orElse(matching)
@@ -162,31 +154,6 @@ object EqlEvaluator {
     }.toArray)
   }
 
-  /** Collects every DataFrame at once, each on its own thread, and
-    * returns the rows in order. The pool's threads are created from the
-    * calling thread, so they inherit its SparkContext local properties
-    * (job group, scheduler pool, job tags): cancelling the caller's job
-    * group cancels these jobs too. A single DataFrame is collected
-    * inline. The first failure is rethrown here.
-    */
-  private def collectAll(dfs: Seq[DataFrame]): Seq[Array[Row]] =
-    if (dfs.size <= 1) dfs.map(_.collect())
-    else {
-      val pool = Executors.newFixedThreadPool(dfs.size)
-      try {
-        val done = new ExecutorCompletionService[(Int, Array[Row])](pool)
-        dfs.zipWithIndex.foreach { case (df, i) =>
-          done.submit(new Callable[(Int, Array[Row])] { def call() = (i, df.collect()) })
-        }
-        val out = new Array[Array[Row]](dfs.size)
-        dfs.indices.foreach { _ =>
-          val (i, rows) = try done.take().get() catch { case e: ExecutionException => throw e.getCause }
-          out(i) = rows
-        }
-        out.toSeq
-      } finally pool.shutdownNow()
-    }
-
   /** The order of step (C): the smallest relation first, then always the
     * smallest one that shares a column with those already placed, and
     * one that shares none only when no such relation is left (Def.
@@ -216,10 +183,8 @@ object EqlEvaluator {
 
   /** Evaluates an EQL query end to end.
     *
-    * The query's Spark work is one concurrent wave of collects: every
-    * BGP's bindings and, for each CTP member with conditions, the ids of
-    * the matching nodes (besides the graph's in-memory copy, which the
-    * first query on a graph loads). Everything after that runs on the
+    * The query's only Spark work is the first query on a graph, which
+    * loads the graph's in-memory copy. Everything else runs on the
     * driver, and the result is a local relation.
     *
     * LIMIT and TOP-k apply to each CTP's own results, before step (C):
@@ -229,16 +194,10 @@ object EqlEvaluator {
     */
   def evaluate(spark: SparkSession, g: PropertyGraph, query: EqlQuery,
                opts: EqlOptions = EqlOptions()): EqlResult = {
-    // (A) BGP bindings and the nodes matching each member's conditions.
+    // (A) BGP bindings on the in-memory graph.
     val t0 = System.nanoTime()
-    val conditions = query.ctps.flatMap(_.members).filterNot(_.isUnconstrained)
-      .map(_.conditions).distinct
-    val bgpDfs = query.bgps.map(b => BgpCompiler.compile(g, b))
-    val collected = collectAll(bgpDfs ++ conditions.map(matchingNodes(g, _)))
-    val bgpRelations = query.bgps.zip(bgpDfs.zip(collected)).map { case (b, (df, rows)) =>
-      (b, Relation(df.schema, rows))
-    }
-    val matching = conditions.zip(collected.drop(bgpDfs.size).map(nodeIds)).toMap
+    val mem = g.inMemory
+    val bgpRelations = query.bgps.map(b => (b, BgpCompiler.bindings(mem, b)))
     val bgpMs = msSince(t0)
 
     // (B) CTP evaluation with filters pushed down.
@@ -246,15 +205,7 @@ object EqlEvaluator {
     val traces = collection.mutable.ArrayBuffer.empty[CtpTrace]
     val ctpRuns = query.ctps.map { ctp =>
       val t1 = System.nanoTime()
-      val specs = ctp.members.map { m =>
-        seedsOf(
-          bgpRelations.collectFirst {
-            case (b, r) if b.userVariables.contains(m.variable) =>
-              val j = r.schema.fieldIndex(m.variable)
-              r.rows.map(_.getLong(j))
-          },
-          matching.get(m.conditions))
-      }
+      val specs = ctp.members.map(memberSeeds(mem, _, bgpRelations))
       val sizes = specs.map {
         case NodeSeeds(ids) => ids.size.toLong
         case AllNodeSeeds   => -1L
@@ -264,7 +215,7 @@ object EqlEvaluator {
         (concreteSizes.max >= opts.autoBalance.toLong * math.max(1L, concreteSizes.min) ||
           sizes.contains(-1L))
       val cfg = configFor(ctp, opts, balanced)
-      val ctx = new SearchContext(g.inMemory, specs, cfg)
+      val ctx = new SearchContext(mem, specs, cfg)
       val t2 = System.nanoTime()
       val out = runAlgorithm(opts.algorithm, ctx)
       seedsMs += (t2 - t1) / 1e6

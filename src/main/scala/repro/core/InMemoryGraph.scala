@@ -9,9 +9,14 @@ import org.apache.spark.sql.Row
   * graph in memory prior to evaluating CTPs", §5.1). Nodes and edges are
   * re-indexed to dense Ints; labels are interned to Ints; adjacency lists
   * hold incident edge indices in *both* directions (requirement R3:
-  * traversal is bidirectional by default).
+  * traversal is bidirectional by default). Each node also keeps its row
+  * of the nodes table, its label and type, for step (A)'s matcher
+  * ([[BgpCompiler]]).
   *
   * @param nodeIds external node ids, indexed by dense node index
+  * @param nlabel  node label per node index; null for a node with no row
+  *                in the nodes table (an edge endpoint only)
+  * @param ntype   node type per node index; null as for `nlabel`
   * @param esrc    dense source node index per edge index
   * @param edst    dense target node index per edge index
   * @param elabel  interned label id per edge index
@@ -21,6 +26,8 @@ import org.apache.spark.sql.Row
   */
 final class InMemoryGraph(
     val nodeIds: Array[Long],
+    val nlabel: Array[String],
+    val ntype: Array[String],
     val esrc: Array[Int],
     val edst: Array[Int],
     val elabel: Array[Int],
@@ -59,29 +66,38 @@ final class InMemoryGraph(
 
 object InMemoryGraph {
 
-  /** Collects a [[PropertyGraph]]'s edges (and node set) to the driver
-    * and builds the compact adjacency. Node rows are taken from the
-    * edges' endpoints plus the nodes DataFrame (isolated nodes kept).
+  /** Collects a [[PropertyGraph]]'s node and edge tables to the driver
+    * and builds the compact adjacency. Nodes are the rows of the nodes
+    * table (isolated nodes kept) plus the edges' endpoints.
     * [[PropertyGraph.inMemory]] keeps the result for later queries.
     */
   def fromPropertyGraph(g: PropertyGraph): InMemoryGraph = {
-    val nodeRows = g.nodes.select("id").collect().map(_.getLong(0))
+    val nodeRows = g.nodes.select("id", "label", "ntype").collect()
     val edgeRows = g.edges.select("id", "src", "label", "dst").collect()
     fromRows(nodeRows, edgeRows)
   }
 
-  /** Builds directly from plain seqs (tests, generators). */
+  /** Builds directly from plain seqs (tests, generators); the nodes get
+    * no label and no type.
+    */
   def fromSeqs(ns: Seq[Long], es: Seq[GEdge]): InMemoryGraph =
-    fromRows(ns.toArray,
+    fromRows(ns.map(id => Row(id, null, null)).toArray,
       es.map(e => Row(e.id, e.src, e.label, e.dst)).toArray)
 
-  private def fromRows(nodeIdsIn: Array[Long], edgeRows: Array[Row]): InMemoryGraph = {
+  /** Node rows are (id, label, type), edge rows (id, src, label, dst). */
+  private def fromRows(nodeRows: Array[Row], edgeRows: Array[Row]): InMemoryGraph = {
     val nodeIdSet = mutable.LinkedHashSet.empty[Long]
-    nodeIdsIn.foreach(nodeIdSet += _)
+    nodeRows.foreach(nodeIdSet += _.getLong(0))
     edgeRows.foreach { r => nodeIdSet += r.getLong(1); nodeIdSet += r.getLong(3) }
     val nodeIds = nodeIdSet.toArray
     val index = new java.util.HashMap[Long, Integer](nodeIds.length * 2)
     nodeIds.zipWithIndex.foreach { case (id, i) => index.put(id, i) }
+    val nlabel = new Array[String](nodeIds.length)
+    val ntype = new Array[String](nodeIds.length)
+    nodeRows.foreach { r =>
+      val i = index.get(r.getLong(0)).intValue()
+      nlabel(i) = r.getString(1); ntype(i) = r.getString(2)
+    }
 
     val labelDict = mutable.LinkedHashMap.empty[String, Int]
     def intern(s: String): Int = labelDict.getOrElseUpdate(s, labelDict.size)
@@ -101,7 +117,7 @@ object InMemoryGraph {
       if (edst(j) != esrc(j)) adjB(edst(j)) += j
       j += 1
     }
-    new InMemoryGraph(nodeIds, esrc, edst, elabel,
+    new InMemoryGraph(nodeIds, nlabel, ntype, esrc, edst, elabel,
       labelDict.keys.toArray, eids, adjB.map(_.toArray).toArray)
   }
 }

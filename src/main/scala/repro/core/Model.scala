@@ -19,7 +19,9 @@ final case class GNode(id: Long, label: String, ntype: String = "")
 final case class GEdge(id: Long, src: Long, label: String, dst: Long)
 
 /** A graph held as two Spark DataFrames — the relational substrate the
-  * paper keeps in PostgreSQL, here kept in Spark SQL.
+  * paper keeps in PostgreSQL, here kept in Spark SQL. EQL evaluation
+  * reads them once, into [[inMemory]]; both step (A)'s BGP matcher and
+  * the CTP search run on that copy.
   *
   * Schema: `nodes(id BIGINT, label STRING, ntype STRING)`,
   * `edges(id BIGINT, src BIGINT, label STRING, dst BIGINT)`.
@@ -32,8 +34,9 @@ final case class PropertyGraph(nodes: DataFrame, edges: DataFrame) {
   /** Number of edges (runs a Spark count). */
   def numEdges: Long = edges.count()
 
-  /** The graph loaded into memory for CTP search (§5.1), built on first
-    * use and then kept for every later query on this graph.
+  /** The graph loaded into memory (§5.1), with each node's label and
+    * type, built on first use and then kept for every later query on
+    * this graph.
     */
   lazy val inMemory: InMemoryGraph = InMemoryGraph.fromPropertyGraph(this)
 

@@ -2,8 +2,9 @@ package repro.core
 
 import repro.{Oracle, SparkSpec}
 
-/** Every compiled BGP plan is checked twice: against hand-derived
-  * expectations on the sample graph, and against DuckDB running
+/** Every matched BGP is checked twice: against hand-derived
+  * expectations on the sample graph (and on a small graph of LIKE and
+  * missing-row edge cases), and against DuckDB running
   * [[BgpCompiler.toDuckSql]] on the same tables (the Oracle).
   */
 class BgpCompilerSpec extends SparkSpec {
@@ -12,11 +13,23 @@ class BgpCompilerSpec extends SparkSpec {
 
   private def bgpOf(q: String): Bgp = EqlParser.parse(q).bgps.head
 
-  private def checkAgainstOracle(bgp: Bgp): Unit =
+  private def checkAgainstOracle(bgp: Bgp, on: PropertyGraph = g): Unit =
     Oracle.assertEquivalent(
-      BgpCompiler.compile(g, bgp),
+      BgpCompiler.compile(on, bgp),
       BgpCompiler.toDuckSql(bgp),
-      "nodes" -> g.nodes, "edges" -> g.edges)
+      "nodes" -> on.nodes, "edges" -> on.edges)
+
+  /** Nodes 1–5 point at the hub 5 by "r" edges; node 6, the target of
+    * the hub's own "r" edge, has no row in the nodes table.
+    */
+  private lazy val h = PropertyGraph.fromSeqs(spark,
+    Seq(GNode(1, "e21", "t"), GNode(2, "e1", "t"), GNode(3, "abc", "t"),
+      GNode(4, "a.cd", "t"), GNode(5, "hub", "")),
+    Seq(GEdge(0, 1, "r", 5), GEdge(1, 2, "r", 5), GEdge(2, 3, "r", 5), GEdge(3, 4, "r", 5),
+      GEdge(4, 5, "r", 6)))
+
+  private def xs(bgp: Bgp, on: PropertyGraph): Set[Long] =
+    BgpCompiler.compile(on, bgp).select("x").collect().map(_.getLong(0)).toSet
 
   test("single pattern with label constants: US citizens") {
     val bgp = bgpOf("""(x) :- (x, "citizenOf", "USA")""")
@@ -89,5 +102,31 @@ class BgpCompilerSpec extends SparkSpec {
     val n = BgpCompiler.compile(g, bgp).count()
     assert(n == SampleGraph.edges.map(e => (e.src, e.dst)).distinct.size)
     checkAgainstOracle(bgp)
+  }
+
+  test("like operator: _ matches exactly one character") {
+    val bgp = bgpOf("""(x) :- (label(x)~"e_1", "r", y)""")
+    assert(xs(bgp, h) == Set(1L)) // e21, not e1
+    checkAgainstOracle(bgp, h)
+  }
+
+  test("like operator: . is a literal character") {
+    val bgp = bgpOf("""(x) :- (label(x)~"a.c*", "r", y)""")
+    assert(xs(bgp, h) == Set(4L)) // a.cd, not abc
+    checkAgainstOracle(bgp, h)
+  }
+
+  test("an endpoint with no node row fails every condition, type(x)=\"\" included") {
+    val bgp = bgpOf("""(x, y) :- (x, "r", type(y)="")""")
+    val rows = BgpCompiler.compile(h, bgp).select("x", "y").collect()
+      .map(r => (r.getLong(0), r.getLong(1))).toSet
+    assert(rows == (1L to 4L).map(_ -> 5L).toSet) // not (5, 6)
+    checkAgainstOracle(bgp, h)
+  }
+
+  test("an edge's type is the empty string") {
+    val bgp = bgpOf("""(x, e) :- (x, type(e)="", "hub")""")
+    assert(BgpCompiler.compile(h, bgp).collect().map(_.getLong(1)).toSet == Set(0L, 1L, 2L, 3L))
+    checkAgainstOracle(bgp, h)
   }
 }

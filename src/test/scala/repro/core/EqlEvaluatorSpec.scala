@@ -38,31 +38,13 @@ class EqlEvaluatorSpec extends SparkSpec {
     assert(res.phaseMs.values.forall(_ >= 0))
   }
 
-  test("step (A)'s BGP jobs run in the caller's job group") {
-    assert(q1.bgps.size == 3)
-    val sc = spark.sparkContext
-    val log = new JobLog(sc)
-    sc.setJobGroup("eql-job-group", "EQL query with three BGPs")
-    try {
-      val (rows, jobs) = log.during(EqlEvaluator.evaluate(spark, g, q1).df.collect())
-      assert(rows.nonEmpty)
-      assert(jobs.size >= 3)
-      assert(jobs.forall(_.properties.getProperty("spark.jobGroup.id") == "eql-job-group"))
-    } finally {
-      sc.clearJobGroup()
-      log.close()
-    }
-  }
-
-  test("a BGP that fails at runtime fails evaluate with its exception") {
+  test("a node table that fails to load fails evaluate with its exception") {
     val failing = udf { (t: String) =>
       if (t == "politician") throw new IllegalStateException("no politicians here") else t
     }
     val pg = PropertyGraph(g.nodes.withColumn("ntype", failing(col("ntype"))), g.edges)
-    // The first BGP reads no node table and succeeds; the second fails.
-    val q = EqlParser.parse(
-      """(x, z) :- (x, "founded", f), (type(z)="politician", "citizenOf", c)""")
-    assert(q.bgps.size == 2)
+    // The first query on a graph loads its in-memory copy, node types included.
+    val q = EqlParser.parse("""(x) :- (x, "founded", f)""")
     val e = intercept[Exception](EqlEvaluator.evaluate(spark, pg, q))
     val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage)
     assert(messages.exists(m => m != null && m.contains("no politicians here")), e)
@@ -134,7 +116,7 @@ class EqlEvaluatorSpec extends SparkSpec {
     val q = EqlParser.parse(
       """(v, tl, l) :- (x, "c", tl), (v, "g", bl), (bl, tl, *l)""")
     val res = EqlEvaluator.evaluate(spark, pg, q)
-    assert(res.df.count() == nL.toLong)
+    assert(res.df.collect().length == nL)
     assert(res.traces.head.numResults == nL) // CTP side: exactly the links
     assert(info.numLinks == nL)
   }
@@ -149,15 +131,15 @@ class EqlEvaluatorSpec extends SparkSpec {
     val resUni = EqlEvaluator.evaluate(spark, pg, qUni)
     // One row per link, plus "mixed" trees when two links share a top
     // leaf and a sibling pair (the random placement may collide).
-    val uniCount = resUni.df.count()
-    assert(uniCount >= nL.toLong && uniCount <= 2L * nL)
+    val uniCount = resUni.df.collect().length
+    assert(uniCount >= nL && uniCount <= 2 * nL)
     // §5.5.1: bidirectional MoLESP finds extra trees (e.g. connecting
     // bottom leaves through their own forest); the BGP join filters the
     // non-sibling ones, so at least the nL link rows survive.
     val q = EqlParser.parse(
       """(tl, l) :- (x, "c", tl), (v, "g", bl1), (v, "h", bl2), (tl, bl1, bl2, *l)""")
     val res = EqlEvaluator.evaluate(spark, pg, q)
-    assert(res.df.count() >= nL.toLong)
+    assert(res.df.collect().length >= nL)
     assert(res.traces.head.numResults > nL)
   }
 
@@ -227,16 +209,15 @@ class EqlEvaluatorSpec extends SparkSpec {
   }
 
   private def bgpRelations(pg: PropertyGraph, q: EqlQuery): Seq[EqlEvaluator.Relation] =
-    q.bgps.map { b =>
-      val df = BgpCompiler.compile(pg, b)
-      EqlEvaluator.Relation(df.schema, df.collect())
-    }
+    q.bgps.map(BgpCompiler.bindings(pg.inMemory, _))
+
+  private val j1 = EqlParser.parse(
+    """(x, y, z, w1, w2) :- (type(x)="A", "p0", xn), (type(y)="B", "p0", yn),
+      |  (type(z)="C", "p1", zn), (x, y, *w1) [MAX 3], (y, z, *w2) [MAX 3]""".stripMargin)
 
   test("step (C) joins along shared variables: J1 shape matches a plain join") {
     val pg = PropertyGraph.fromSeqs(spark, J1Graph.nodes, J1Graph.edges)
-    val q = EqlParser.parse(
-      """(x, y, z, w1, w2) :- (type(x)="A", "p0", xn), (type(y)="B", "p0", yn),
-        |  (type(z)="C", "p1", zn), (x, y, *w1) [MAX 3], (y, z, *w2) [MAX 3]""".stripMargin)
+    val q = j1
     val res = EqlEvaluator.evaluate(spark, pg, q)
     val got = res.df.collect().map(_.toSeq).toSet
 
@@ -290,5 +271,26 @@ class EqlEvaluatorSpec extends SparkSpec {
     assert(rows("") == Set(Seq[Any](4L, "1,2", "3")))
     assert(rows(" [LIMIT 1]").isEmpty)
     assert(rows(" [SCORE size TOP 1]").isEmpty)
+  }
+
+  test("a query on a loaded graph starts no Spark job") {
+    val j1Graph = PropertyGraph.fromSeqs(spark, J1Graph.nodes, J1Graph.edges)
+    val (cdf, _) = GraphGen.cdf(3, nT = 2, nL = 5, sL = 3, seed = 43)
+    val cdfGraph = cdf.toPropertyGraph(spark)
+    val cdfM3 = EqlParser.parse(
+      """(tl, l) :- (x, "c", tl), (v, "g", bl1), (v, "h", bl2), (tl, bl1, bl2, *l) [UNI]""")
+    val memberWithConditions = EqlParser.parse(
+      """(w) :- (type(p)="entrepreneur" & label(p)<"C", label(q)~"*a*", *w) [MAX 3]""")
+    val queries = Seq(g -> q1, j1Graph -> j1, cdfGraph -> cdfM3, g -> memberWithConditions)
+    val warmUp = EqlParser.parse("""(x) :- (x, e, y)""")
+    queries.map(_._1).distinct.foreach(EqlEvaluator.evaluate(spark, _, warmUp))
+    val log = new JobLog(spark.sparkContext)
+    try {
+      queries.foreach { case (pg, q) =>
+        val (rows, jobs) = log.during(EqlEvaluator.evaluate(spark, pg, q).df.collect())
+        assert(rows.nonEmpty, q)
+        assert(jobs.isEmpty, (q, jobs.map(JobLog.rddNames)))
+      }
+    } finally log.close()
   }
 }

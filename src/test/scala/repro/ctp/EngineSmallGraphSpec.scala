@@ -27,7 +27,7 @@ class EngineSmallGraphSpec extends AnyFunSuite {
     * (plus any extra algorithms the caller claims complete here).
     */
   private def checkAll(g: repro.core.InMemoryGraph, ss: Seq[SeedSpec],
-                       alsoComplete: Set[String] = Set.empty,
+                       alsoComplete: Set[String],
                        orders: Seq[Long] = Seq(0L, 1L, 7L, 13L)): Unit = {
     val expected = bruteKeys(g, ss)
     for ((name, run) <- allAlgos; seed <- orders) {
