@@ -22,7 +22,7 @@ object BgpMatchProps extends Properties("BgpMatch") {
     p.withMinSuccessfulTests(100).withInitialSeed(Seed(20261020L))
 
   private val strings = Seq("", "a", "ab", "a_b", "a.b", "_", ".")
-  private val likePatterns = Seq("*", "a*", "*b", "a_b", "_", "*.*", "*_*", "a.b", "%b", "")
+  private val likePatterns = Seq("*", "a*", "*b", "a_b", "_", "*.*", "*_*", "a.b", ".*", "_._", "%b", "")
 
   private case class Case(nodes: Seq[GNode], edges: Seq[GEdge], bgp: Bgp)
 
@@ -40,20 +40,21 @@ object BgpMatchProps extends Properties("BgpMatch") {
               } yield (s, l, d))
   } yield (nodes, edges.zipWithIndex.map { case ((s, l, d), i) => GEdge(i.toLong, s, l, d) })
 
-  private val condition: Gen[Condition] = for {
+  /** Eq compares with a label or type that occurs in the graph (`seen`),
+    * so that it matches something.
+    */
+  private def condition(seen: Seq[String]): Gen[Condition] = for {
     prop <- Gen.oneOf("label", "type")
     op   <- Gen.oneOf(Op.Eq, Op.Lt, Op.Le, Op.Like)
-    v    <- Gen.oneOf(if (op == Op.Like) likePatterns else strings)
+    v    <- Gen.oneOf(op match { case Op.Like => likePatterns; case Op.Eq => seen; case _ => strings })
   } yield Condition(prop, op, v)
 
-  private def predicate(v: String): Gen[Predicate] =
-    Gen.frequency(6 -> Gen.const(Nil), 3 -> Gen.listOfN(1, condition), 1 -> Gen.listOfN(2, condition))
-      .map(Predicate(v, _))
-
   /** 1–3 patterns; each one after the first starts or ends at a node
-    * variable of an earlier one, so the BGP is connected.
+    * variable of an earlier one, so the BGP is connected. One to three
+    * conditions go to random places among the patterns' predicates: with
+    * more, nearly every BGP matches nothing.
     */
-  private val bgp: Gen[Bgp] = for {
+  private def bgp(seen: Seq[String]): Gen[Bgp] = for {
     k        <- Gen.choose(1, 3)
     patterns <- (0 until k).foldLeft(Gen.const(Vector.empty[EdgePattern])) { (acc, i) =>
                   acc.flatMap { ps =>
@@ -64,16 +65,21 @@ object BgpMatchProps extends Properties("BgpMatch") {
                                    Option.when(known.nonEmpty)(1 -> Gen.oneOf(known)): _*)
                       forward <- Gen.prob(0.5)
                       (s, d)   = if (forward) (a, b) else (b, a)
-                      sp      <- predicate(s)
-                      ep      <- predicate(s"e$i")
-                      dp      <- predicate(d)
-                    } yield ps :+ EdgePattern(sp, ep, dp)
+                    } yield ps :+ EdgePattern(Predicate(s, Nil), Predicate(s"e$i", Nil), Predicate(d, Nil))
                   }
                 }
-  } yield Bgp(patterns)
+    n        <- Gen.choose(1, 3)
+    placed   <- Gen.listOfN(n, Gen.zip(Gen.choose(0, 3 * k - 1), condition(seen)))
+  } yield Bgp(patterns.zipWithIndex.map { case (p, i) =>
+    def at(slot: Int, pred: Predicate) =
+      pred.copy(conditions = placed.collect { case (`slot`, c) => c })
+    EdgePattern(at(3 * i, p.src), at(3 * i + 1, p.edge), at(3 * i + 2, p.dst))
+  })
 
-  private val cases: Gen[Case] =
-    for ((nodes, edges) <- graph; b <- bgp) yield Case(nodes, edges, b)
+  private val cases: Gen[Case] = for {
+    (nodes, edges) <- graph
+    b              <- bgp((nodes.flatMap(n => Seq(n.label, n.ntype)) ++ edges.map(_.label) :+ "").distinct)
+  } yield Case(nodes, edges, b)
 
   property("compile = DuckDB over toDuckSql") = forAllNoShrink(cases) { c =>
     val g = PropertyGraph.fromSeqs(SparkSpec.shared, c.nodes, c.edges)
